@@ -25,6 +25,10 @@ VERDICT_MATES = "mates-found"
 VERDICT_NOT_RUN = "not-run"
 
 
+class SearchInvariantError(RuntimeError):
+    """A search result broke a fact that holds whenever the search is sound."""
+
+
 @dataclass
 class SearchReport:
     target: str
@@ -140,11 +144,18 @@ def _assert_mate_invariants(target: Graph, mate_g6: str) -> None:
     from .graph import decode_graph6
 
     mate = decode_graph6(mate_g6)
-    assert mate.n == target.n
-    assert mate.edge_count() == target.edge_count()
-    assert triangle_count(mate) == triangle_count(target)
-    assert all(walk_count(mate, i) == walk_count(target, i) for i in range(1, target.n + 1))
-    assert canonical_form(mate) != canonical_form(target)
+    checks = [
+        ("vertex count", mate.n == target.n),
+        ("edge count", mate.edge_count() == target.edge_count()),
+        ("triangle count", triangle_count(mate) == triangle_count(target)),
+        ("closed-walk counts", all(
+            walk_count(mate, i) == walk_count(target, i) for i in range(1, target.n + 1)
+        )),
+        ("non-isomorphism", canonical_form(mate) != canonical_form(target)),
+    ]
+    for what, ok in checks:
+        if not ok:
+            raise SearchInvariantError(f"reported mate {mate_g6} fails the {what} check")
 
 
 # -- theorem-level drivers -----------------------------------------------------
@@ -190,8 +201,11 @@ def verify_theorem42(p: int, workers: int = 1) -> SearchReport:
     report = find_cospectral_mates(
         target, connected_only=False, target_params=KiteParams(p, 2), workers=workers
     )
-    assert report.m == (p * p - p + 4) // 2
-    assert report.t == comb(p, 3)
+    if report.m != (p * p - p + 4) // 2 or report.t != comb(p, 3):
+        raise SearchInvariantError(
+            f"Kite_{{{p},2}} has m={report.m}, t={report.t}; expected "
+            f"m={(p * p - p + 4) // 2}, t={comb(p, 3)}"
+        )
     return report
 
 

@@ -1,21 +1,37 @@
 """Isomorph-free graph generation and canonical forms.
 
 Canonical form: vertices are first split into cells by iterated
-degree/neighbor-degree refinement (an isomorphism invariant), then the
-lexicographically minimal upper-triangle bit-string over all cell-respecting
-orderings is found by backtracking with prefix pruning.  Two graphs share a
-:class:`CanonicalKey` exactly when they are isomorphic.
+degree/neighbor-degree refinement (an isomorphism invariant, computed with
+bitset popcounts), then the lexicographically minimal upper-triangle
+bit-string over all cell-respecting orderings is found by backtracking with
+prefix pruning.  Two graphs share a :class:`CanonicalKey` exactly when they
+are isomorphic.
 
-Generation uses canonical augmentation: a child built by appending one vertex
-is kept only when the appended vertex can sit in the last canonical position,
-i.e. the inverse deletion is the canonical one.  That yields exactly one
-representative per isomorphism class with no global dedup table.
+The backtracking also prunes by automorphisms (McKay, "Practical graph
+isomorphism", 1981): a leaf whose encoding equals the incumbent's yields an
+automorphism, and a candidate vertex in the orbit of one already tried at
+its node, under the automorphisms found so far that fix the node's prefix,
+is skipped, because its subtree is the image of one already searched and
+holds the same encodings.  The key is unchanged by this pruning; highly
+symmetric graphs such as K_n and K_{a,b} become cheap, while graphs with
+small groups (long cycles) still cost what the plain search costs.
+
+Generation uses canonical augmentation (McKay, "Isomorph-free exhaustive
+generation", 1998): a child built by appending one vertex is kept only when
+the appended vertex can sit in the last canonical position, i.e. the inverse
+deletion is the canonical one.  That yields exactly one representative per
+isomorphism class with no global dedup table.  Before a child is built, its
+edge count must fit the edge window and the new vertex must have maximum
+degree (the last cell lies in the maximum-degree class); once built, the
+child is refined once and dropped unless the new vertex lies in the last
+cell, before any backtracking.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from math import comb
 from pathlib import Path
@@ -74,54 +90,116 @@ class EnumConstraints:
 
 def _refinement_cells(g: Graph) -> list[list[int]]:
     """Vertex cells under iterated neighbor-label refinement, ordered by an
-    isomorphism-invariant cell key."""
+    isomorphism-invariant cell key.
+
+    A vertex's key is its label plus, for each label class in label order,
+    the number of its non-neighbours in that class (one bitset popcount
+    each).  Vertices sharing a label share a degree and a class, so fewer
+    non-neighbours means more neighbours, and the keys sort exactly as the
+    vertices' sorted tuples of neighbour labels would.
+    """
     n = g.n
-    labels = [g.rows[v].bit_count() for v in range(n)]
+    labels = [r.bit_count() for r in g.rows]
+    non_adjacent = [~r for r in g.rows]
+    count = int.bit_count
+    classes = sorted(set(labels))
     while True:
+        masks = dict.fromkeys(classes, 0)
+        for v, lab in enumerate(labels):
+            masks[lab] |= 1 << v
+        cellmasks = list(masks.values())
         keys = [
-            (labels[v], tuple(sorted(labels[u] for u in g.neighbors(v))))
-            for v in range(n)
+            (lab, tuple(map(count, map(row.__and__, cellmasks))))
+            for lab, row in zip(labels, non_adjacent)
         ]
         order = {key: rank for rank, key in enumerate(sorted(set(keys)))}
-        new = [order[keys[v]] for v in range(n)]
-        stable = len(set(new)) == len(set(labels))
-        labels = new
-        if stable:
+        labels = [order[key] for key in keys]
+        # stable once no class splits; a discrete partition cannot split
+        if len(order) == len(classes) or len(order) == n:
             break
-    cells: dict[int, list[int]] = {}
+        classes = range(len(order))
+    cells: list[list[int]] = [[] for _ in order]
     for v, lab in enumerate(labels):
-        cells.setdefault(lab, []).append(v)
-    return [cells[lab] for lab in sorted(cells)]
+        cells[lab].append(v)
+    return cells
 
 
-def _canonical_search(g: Graph) -> tuple[tuple[int, ...], set[int]]:
-    """Minimal column encoding over cell-respecting orderings, plus the set
-    of vertices that occupy the last position in some minimizing ordering
-    (the orbit of the canonical-deletion vertex)."""
+def _orbit(mask: int, gens: list[list[int]]) -> int:
+    """Closure of a vertex bitmask under the permutations ``gens``."""
+    frontier = mask
+    while frontier:
+        image = 0
+        for img in gens:
+            rest = frontier
+            while rest:
+                low = rest & -rest
+                image |= 1 << img[low.bit_length() - 1]
+                rest ^= low
+        frontier = image & ~mask
+        mask |= frontier
+    return mask
+
+
+def _canonical_search(
+    g: Graph, cells: list[list[int]] | None = None
+) -> tuple[tuple[int, ...], int]:
+    """Minimal column encoding over cell-respecting orderings, plus the
+    bitmask of vertices that occupy the last position in some minimizing
+    ordering (the orbit of the canonical-deletion vertex).
+
+    ``cells`` is ``_refinement_cells(g)`` when the caller already has it.
+    Two leaves with equal columns differ by an automorphism, which is
+    recorded; a candidate in the orbit of one already tried at its node,
+    under the recorded automorphisms fixing the node's prefix, roots the
+    image of a searched subtree and is skipped.  The recorded automorphisms
+    generate the whole group, so ``last`` is the orbit of the best
+    ordering's last vertex under them.
+    """
     n = g.n
     if n == 0:
-        return (), set()
-    cells = _refinement_cells(g)
+        return (), 0
+    if cells is None:
+        cells = _refinement_cells(g)
     cell_of_pos: list[list[int]] = []
     for cell in cells:
         cell_of_pos.extend([cell] * len(cell))
     best: list[int] | None = None
-    last: set[int] = set()
+    best_perm: list[int] = []
+    # (bitmask of fixed points, image list) of each automorphism found
+    autos: list[tuple[int, list[int]]] = []
     perm = [0] * n
     rows = g.rows
 
     def rec(pos: int, used: int, cols: list[int]):
-        nonlocal best, last
+        nonlocal best, best_perm
         if pos == n:
             if best is None or cols < best:
                 best = cols[:]
-                last = {perm[-1]}
+                best_perm = perm[:]
             elif cols == best:
-                last.add(perm[-1])
+                img = [0] * n
+                fixed = 0
+                for u, w in zip(best_perm, perm):
+                    img[u] = w
+                    if u == w:
+                        fixed |= 1 << u
+                autos.append((fixed, img))
             return
+        # candidates tried here, closed under the automorphisms in gens:
+        # those found so far that fix the prefix pointwise
+        orbit = 0
+        gens: list[list[int]] = []
+        scanned = 0
         for v in cell_of_pos[pos]:
             if used >> v & 1:
                 continue
+            if scanned < len(autos):
+                gens += [img for fixed, img in autos[scanned:] if not used & ~fixed]
+                scanned = len(autos)
+                orbit = _orbit(orbit, gens)
+            if orbit >> v & 1:
+                continue
+            orbit = _orbit(orbit | 1 << v, gens)
             col = 0
             rv = rows[v]
             for i in range(pos):
@@ -134,8 +212,9 @@ def _canonical_search(g: Graph) -> tuple[tuple[int, ...], set[int]]:
             cols.pop()
 
     rec(0, 0, [])
-    assert best is not None
-    return tuple(best), last
+    if best is None:
+        raise RuntimeError("canonical search reached no leaf")
+    return tuple(best), _orbit(1 << best_perm[-1], [img for _, img in autos])
 
 
 def _cols_to_bits(cols: tuple[int, ...]) -> int:
@@ -196,26 +275,33 @@ def enumerate_graphs(
     target_tri = constraints.triangles
     max_total = comb(n, 2)
 
-    def viable(g: Graph) -> bool:
-        if target_edges is not None:
-            m = g.edge_count()
-            if m > target_edges:
-                return False
-            if m + (max_total - comb(g.n, 2)) < target_edges:
-                return False
-        if target_tri is not None and triangle_count(g) > target_tri:
-            return False
-        return True
-
     def children(parent: Graph) -> Iterator[Graph]:
         seen: set[CanonicalKey] = set()
         k = parent.n
+        degrees = [r.bit_count() for r in parent.rows]
+        top = max(degrees)
+        top_mask = sum(1 << i for i, d in enumerate(degrees) if d == top)
+        edges = sum(degrees) // 2
+        if target_edges is not None:
+            # the child's edge count must leave the target reachable
+            low = target_edges - (max_total - comb(k + 1, 2)) - edges
+            high = target_edges - edges
         for mask in range(1 << k):
-            child = _extend(parent, mask)
-            if not viable(child):
+            d = mask.bit_count()
+            if target_edges is not None and not low <= d <= high:
                 continue
-            cols, last = _canonical_search(child)
-            if k not in last:
+            # the last cell, which holds the canonical-deletion vertex,
+            # lies inside the child's maximum-degree class
+            if d < (top + 1 if mask & top_mask else top):
+                continue
+            child = _extend(parent, mask)
+            if target_tri is not None and triangle_count(child) > target_tri:
+                continue
+            cells = _refinement_cells(child)
+            if cells[-1][-1] != k:
+                continue
+            cols, last = _canonical_search(child, cells)
+            if not last >> k & 1:
                 continue
             key = CanonicalKey(child.n, _cols_to_bits(cols))
             if key in seen:
@@ -247,10 +333,7 @@ def enumerate_graphs(
         for child in children(g):
             yield from walk(child, index)
 
-    root = Graph(1, (0,))
-    if not viable(root):
-        return
-    yield from walk(root, [0])
+    yield from walk(Graph(1, (0,)), [0])
 
 
 def brute_force_classes(n: int, connected_only: bool = False) -> set[CanonicalKey]:
@@ -281,6 +364,18 @@ def _checksum(lines: list[str]) -> str:
     return h.hexdigest()
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write through a temporary file and ``os.replace``, so a reader sees
+    either the old file or the new one, never a partial write."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def cache_store(cache_dir: str | Path, constraints: EnumConstraints, graphs: Iterable[Graph]) -> Path:
     """Persist a stream as graph6 lines plus a JSON manifest with a content
     checksum; returns the payload path."""
@@ -288,7 +383,7 @@ def cache_store(cache_dir: str | Path, constraints: EnumConstraints, graphs: Ite
     base.mkdir(parents=True, exist_ok=True)
     lines = [encode_graph6(g) for g in graphs]
     payload = base / f"{constraints.key()}.g6"
-    payload.write_text("".join(line + "\n" for line in lines))
+    _write_atomic(payload, "".join(line + "\n" for line in lines))
     manifest = {
         "n": constraints.n,
         "constraints": {
@@ -299,21 +394,26 @@ def cache_store(cache_dir: str | Path, constraints: EnumConstraints, graphs: Ite
         "count": len(lines),
         "checksum": _checksum(lines),
     }
-    (base / f"{constraints.key()}.json").write_text(json.dumps(manifest, indent=1))
+    _write_atomic(base / f"{constraints.key()}.json", json.dumps(manifest, indent=1))
     return payload
 
 
 def cache_load(cache_dir: str | Path, constraints: EnumConstraints) -> list[Graph]:
     """Load a cached stream, verifying count and checksum; raises
-    CorruptCacheError on any mismatch (never silently reuses bad data)."""
+    CorruptCacheError on any mismatch or malformed manifest (never silently
+    reuses bad data)."""
     base = Path(cache_dir) / f"n{constraints.n}"
     payload = base / f"{constraints.key()}.g6"
     manifest_path = base / f"{constraints.key()}.json"
     if not payload.exists() or not manifest_path.exists():
         raise FileNotFoundError(f"no cache entry for {constraints}")
-    manifest = json.loads(manifest_path.read_text())
-    lines = payload.read_text().splitlines()
-    if len(lines) != manifest["count"] or _checksum(lines) != manifest["checksum"]:
+    try:
+        manifest = json.loads(manifest_path.read_text())
+        count, checksum = manifest["count"], manifest["checksum"]
+        lines = payload.read_text().splitlines()
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CorruptCacheError(f"cache entry {manifest_path} is malformed: {exc!r}") from exc
+    if len(lines) != count or _checksum(lines) != checksum:
         raise CorruptCacheError(f"cache entry {payload} fails verification")
     return [decode_graph6(line) for line in lines]
 

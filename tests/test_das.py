@@ -4,6 +4,8 @@ from kitespec.charpoly import are_cospectral, charpoly
 from kitespec.das import (
     VERDICT_DAS,
     VERDICT_MATES,
+    SearchInvariantError,
+    _assert_mate_invariants,
     candidate_triple_check,
     conjecture43_evidence,
     find_cospectral_mates,
@@ -19,6 +21,7 @@ from kitespec.graph import (
     make_gb,
     make_gc,
     make_kite,
+    make_path,
     make_star,
 )
 
@@ -33,6 +36,13 @@ class TestMateSearch:
         c4_plus_k1 = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0)])
         assert canonical_form(mate) == canonical_form(c4_plus_k1)
         assert are_cospectral(mate, make_star(4))
+
+    def test_mate_invariants_reject_a_non_mate(self):
+        # explicit checks, so they hold under python -O as well
+        with pytest.raises(SearchInvariantError):
+            _assert_mate_invariants(make_kite(p=4, q=2), encode_graph6(make_path(6)))
+        c4_plus_k1 = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        _assert_mate_invariants(make_star(4), encode_graph6(c4_plus_k1))
 
     def test_star_connected_space_is_clean(self):
         report = find_cospectral_mates(make_star(4), connected_only=True)

@@ -1,4 +1,7 @@
+import hashlib
 import json
+import os
+import time
 from math import comb
 
 import pytest
@@ -18,6 +21,7 @@ from kitespec.enumeration import (
     enumerate_cached,
     enumerate_graphs,
 )
+from kitespec import enumeration
 from kitespec.graph import (
     Graph,
     encode_graph6,
@@ -35,6 +39,22 @@ from conftest import random_graph
 # isomorphism-class counts for simple graphs on n vertices (all / connected)
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+
+# sha256 of the newline-joined graph6 stream of enumerate_graphs(n): pins the
+# canonical form, the representatives and the stream order
+STREAM_SHA256 = {
+    7: "e10a6089bcb5eb6266861dc6375b91d29d262336a5062e6d80005adcf98b04cf",
+    8: "db386fcab814d4b9dfe3af666ac40c9da7cd9560523cb2c23d09762189a5d7c1",
+}
+
+
+def stream_sha256(constraints):
+    stream = "\n".join(encode_graph6(g) for g in enumerate_graphs(constraints))
+    return hashlib.sha256(stream.encode()).hexdigest()
+
+
+def complete_bipartite(a, b):
+    return from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
 class TestCanonicalForm:
@@ -64,6 +84,39 @@ class TestCanonicalForm:
     def test_ordering(self):
         assert CanonicalKey(3, 1) < CanonicalKey(4, 0)
         assert CanonicalKey(3, 1) < CanonicalKey(3, 2)
+
+    @pytest.mark.parametrize(
+        "g, bits",
+        [
+            (make_complete(8), 268435455),
+            (make_cycle(8), 873568),
+            (complete_bipartite(4, 4), 4185720),
+        ],
+        ids=["K8", "C8", "K44"],
+    )
+    def test_pinned_keys(self, g, bits):
+        assert canonical_form(g) == CanonicalKey(8, bits)
+
+    @pytest.mark.parametrize(
+        "g, seconds",
+        [
+            (make_complete(12), 2),
+            (complete_bipartite(6, 6), 2),
+            (Graph(12, (0,) * 12), 2),
+            (make_complete(24), 10),
+            (complete_bipartite(12, 12), 10),
+        ],
+        ids=["K12", "K66", "empty12", "K24", "K1212"],
+    )
+    def test_symmetric_inputs_finish(self, g, seconds):
+        # Automorphism pruning makes large groups cheap.  Cycles are left
+        # out: their groups are small, so pruning does not help them, and
+        # without re-refinement after individualisation C_20 does not finish.
+        start = time.perf_counter()
+        cg = canonical_graph(g)
+        assert time.perf_counter() - start < seconds
+        assert sorted(cg.degree_sequence()) == sorted(g.degree_sequence())
+        assert cg.edge_count() == g.edge_count()
 
 
 class TestEnumeration:
@@ -129,6 +182,27 @@ class TestEnumeration:
         with pytest.raises(EnumerationError):
             list(enumerate_graphs(EnumConstraints(4), partition=(4, 4)))
 
+    def test_golden_stream_n7(self):
+        assert stream_sha256(EnumConstraints(7)) == STREAM_SHA256[7]
+
+    @pytest.mark.skipif(
+        os.environ.get("KITESPEC_EXTENDED") != "1", reason="set KITESPEC_EXTENDED=1"
+    )
+    def test_golden_stream_n8(self):
+        assert sum(1 for _ in enumerate_graphs(EnumConstraints(8))) == 12346
+        assert stream_sha256(EnumConstraints(8)) == STREAM_SHA256[8]
+
+    def test_matches_networkx_atlas(self):
+        nx = pytest.importorskip("networkx")
+        atlas: dict[int, set[CanonicalKey]] = {}
+        for h in nx.graph_atlas_g():
+            n = h.number_of_nodes()
+            if n:
+                atlas.setdefault(n, set()).add(canonical_form(from_edges(n, h.edges())))
+        for n in range(1, 8):
+            assert len(atlas[n]) == ALL_COUNTS[n]
+            assert {canonical_form(g) for g in enumerate_graphs(EnumConstraints(n))} == atlas[n]
+
     def test_kite_appears_in_its_stratum(self):
         g = make_kite(p=4, q=2)
         cons = EnumConstraints(6, edges=8, connected_only=True)
@@ -168,6 +242,35 @@ class TestCache:
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(CorruptCacheError):
             cache_load(tmp_path, cons)
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"count": 11, "checksum": "ab', '{"count": 11}', "[]", '{"count": [], "checksum": 5}'],
+        ids=["truncated", "missing-key", "not-an-object", "wrong-types"],
+    )
+    def test_malformed_manifest_is_corrupt(self, tmp_path, text):
+        cons = EnumConstraints(4)
+        path = cache_store(tmp_path, cons, enumerate_graphs(cons))
+        path.with_suffix(".json").write_text(text)
+        with pytest.raises(CorruptCacheError):
+            cache_load(tmp_path, cons)
+        assert len(enumerate_cached(cons, tmp_path)) == ALL_COUNTS[4]
+        assert len(cache_load(tmp_path, cons)) == ALL_COUNTS[4]
+
+    def test_store_replaces_atomically(self, tmp_path, monkeypatch):
+        cons = EnumConstraints(4)
+        path = cache_store(tmp_path, cons, enumerate_graphs(cons))
+        before = sorted(p.read_bytes() for p in path.parent.iterdir())
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(enumeration.os, "replace", fail)
+        with pytest.raises(OSError):
+            cache_store(tmp_path, cons, [])
+        # the old entry is intact and no temporary file is left behind
+        assert sorted(p.read_bytes() for p in path.parent.iterdir()) == before
+        assert len(cache_load(tmp_path, cons)) == ALL_COUNTS[4]
 
     def test_read_through(self, tmp_path):
         cons = EnumConstraints(5)
