@@ -8,9 +8,7 @@ exhaustive determined-by-spectrum verification at desk scale.
 from .graph import (
     Graph,
     KiteParams,
-    CliqueStats,
     clique_number,
-    clique_stats,
     decode_graph6,
     encode_graph6,
     from_edges,

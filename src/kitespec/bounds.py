@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt
 
 from .charpoly import charpoly
 from .graph import Graph
@@ -118,7 +117,8 @@ def sturm_chain(poly: IntPolynomial) -> list[IntPolynomial]:
 
 
 def _poly_div_exact(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
-    """Quotient f/g where g divides f over the rationals; returned primitive."""
+    """Quotient f/g where g divides f over the rationals; returned primitive.
+    Raises ArithmeticError if g does not divide f."""
     rem = [Fraction(c) for c in f.coeffs]
     quo = [Fraction(0)] * (f.degree - g.degree + 1)
     glead = Fraction(g.coeffs[-1])
@@ -127,7 +127,8 @@ def _poly_div_exact(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
         quo[k] = factor
         for i, c in enumerate(g.coeffs):
             rem[k + i] -= factor * c
-    assert all(c == 0 for c in rem)
+    if any(rem):
+        raise ArithmeticError(f"{g.coeffs} does not divide {f.coeffs}")
     return _primitive(quo)
 
 
@@ -273,11 +274,3 @@ def verify_lemma41_inequality(p_max: int) -> list[InequalityCheck]:
                 checks.append(InequalityCheck(p, q, r, lhs, rhs, lhs < rhs))
             q += 1
     return checks
-
-
-def spectrum_sane(spec: Spectrum, edge_count: int) -> bool:
-    n = len(spec.values)
-    tol = max(spec.tol, 1e-12)
-    if abs(sum(spec.values)) > n * max(tol, 1e-9):
-        return False
-    return abs(sum(v * v for v in spec.values) - 2 * edge_count) <= n * n * max(tol, 1e-9)

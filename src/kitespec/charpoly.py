@@ -15,10 +15,8 @@ these exact coefficient vectors, never on floating-point spectra.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import comb
 
-from .graph import Graph, make_complete, make_kite
+from .graph import Graph
 from .polynomial import IntPolynomial, ONE, X, lagrange_integer
 
 
@@ -218,13 +216,8 @@ def kite_u_identity_check(p: int, q: int, u: Fraction) -> bool:
         recur = path_poly_a(n)(lam)
         if recur != path_poly_u_value(n, u):
             return False
-    direct = _kite_poly_cached(p, q)(lam)
+    direct = kite_charpoly(p, q)(lam)
     return direct == kite_u_closed_form(p, q, u)
-
-
-@lru_cache(maxsize=256)
-def _kite_poly_cached(p: int, q: int) -> IntPolynomial:
-    return charpoly(make_kite(p=p, q=q))
 
 
 # -- cospectrality and walks -------------------------------------------------
@@ -255,20 +248,6 @@ def _matmul(a, b):
     return [[_dot(row, col) for col in bt] for row in a]
 
 
-def coefficient_edge_count(poly: IntPolynomial) -> int:
-    """Edge count read off the lambda^{n-2} coefficient (which equals -m)."""
-    return -poly[poly.degree - 2] if poly.degree >= 2 else 0
-
-
-def coefficient_triangle_count(poly: IntPolynomial) -> int:
-    """Triangle count read off the lambda^{n-3} coefficient (equals -2t)."""
-    if poly.degree < 3:
-        return 0
-    c = poly[poly.degree - 3]
-    assert c % 2 == 0
-    return -c // 2
-
-
 def kite_charpoly(p: int, q: int) -> IntPolynomial:
     """Kite polynomial by the path recursion: a_q*P(K_p) - a_{q-1}*P(K_{p-1})."""
     if p < 1 or q < 0:
@@ -278,7 +257,3 @@ def kite_charpoly(p: int, q: int) -> IntPolynomial:
     if q == 0:
         return closed_form_complete(p)
     return path_poly_a(q) * closed_form_complete(p) - path_poly_a(q - 1) * closed_form_complete(p - 1)
-
-
-def kite_edge_formula(p: int, q: int) -> int:
-    return comb(p, 2) + q

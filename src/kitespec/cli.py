@@ -2,8 +2,10 @@
 
 Commands: charpoly, spectrum, cospectral, invariants, kite-census,
 das-verify, bounds, enumerate, lemma41-check.  Exit status 0 on success,
-1 on usage errors, 2 when a mate search contradicts the verified theorem
-range (a scriptable regression gate).
+1 on usage errors, 2 when a check contradicts a claimed theorem (a mate
+search finds a mate, two kite polynomials collide, the radius sandwich or
+the clique-bound inequality fails), so the CLI is a scriptable regression
+gate.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import bounds as bounds_mod
 from . import das
@@ -22,7 +23,6 @@ from .charpoly import are_cospectral, charpoly
 from .enumeration import EnumConstraints, cache_store, enumerate_graphs
 from .graph import (
     GraphError,
-    KiteParams,
     clique_number,
     encode_graph6,
     is_connected,
@@ -38,41 +38,8 @@ EXIT_USAGE = 1
 EXIT_THEOREM_CONTRADICTED = 2
 
 
-@dataclass
-class RunConfig:
-    cache_dir: str | None = None
-    tol: float = 1e-12
-    worker_count: int = 1
-    output_format: str = "text"
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.worker_count < 1:
-            raise ValueError("worker_count must be >= 1")
-        if self.output_format not in ("json", "csv", "text"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
-
-
 class CliError(Exception):
     pass
-
-
-def _emit_json(payload: dict, validator=None) -> str:
-    """Serialize, re-parse, and validate before printing (self-validation)."""
-    text = json.dumps(payload, indent=1)
-    parsed = json.loads(text)
-    if validator is not None:
-        validator(parsed)
-    return text
-
-
-def _require_keys(*keys):
-    def check(parsed):
-        missing = [k for k in keys if k not in parsed]
-        if missing:
-            raise CliError(f"emitted JSON missing keys {missing}")
-    return check
 
 
 def _emit_csv(rows: list[dict]) -> str:
@@ -85,10 +52,10 @@ def _emit_csv(rows: list[dict]) -> str:
     return buf.getvalue().rstrip("\n")
 
 
-def _print(cfg: RunConfig, *, json_payload, csv_rows, text: str, validator=None):
-    if cfg.output_format == "json":
-        print(_emit_json(json_payload, validator))
-    elif cfg.output_format == "csv":
+def _print(args, *, json_payload, csv_rows, text: str):
+    if args.format == "json":
+        print(json.dumps(json_payload, indent=1))
+    elif args.format == "csv":
         print(_emit_csv(csv_rows))
     else:
         print(text)
@@ -97,56 +64,46 @@ def _print(cfg: RunConfig, *, json_payload, csv_rows, text: str, validator=None)
 # -- commands -------------------------------------------------------------
 
 
-def cmd_charpoly(cfg: RunConfig, args) -> int:
-    g = parse_graph_spec(args.spec)
+def cmd_charpoly(args) -> int:
+    g, _ = parse_graph_spec(args.spec)
     poly = charpoly(g)
     _print(
-        cfg,
+        args,
         json_payload={"spec": args.spec, "coefficients": poly.to_json()},
         csv_rows=[{"power": k, "coefficient": str(c)} for k, c in enumerate(poly.coeffs)],
         text=poly.pretty(),
-        validator=_require_keys("spec", "coefficients"),
     )
     return EXIT_OK
 
 
-def cmd_spectrum(cfg: RunConfig, args) -> int:
-    g = parse_graph_spec(args.spec)
-    spec = bounds_mod.eigenvalues(g, cfg.tol)
+def cmd_spectrum(args) -> int:
+    g, _ = parse_graph_spec(args.spec)
+    spec = bounds_mod.eigenvalues(g, args.tol)
     vals = [round(v, 12) for v in spec.values]
     _print(
-        cfg,
+        args,
         json_payload={"spec": args.spec, "eigenvalues": vals, "tol": spec.tol},
         csv_rows=[{"index": k, "eigenvalue": v} for k, v in enumerate(vals)],
         text=" ".join(f"{v:.6f}" for v in vals),
-        validator=_require_keys("spec", "eigenvalues", "tol"),
     )
     return EXIT_OK
 
 
-def cmd_cospectral(cfg: RunConfig, args) -> int:
-    g = parse_graph_spec(args.spec_a)
-    h = parse_graph_spec(args.spec_b)
+def cmd_cospectral(args) -> int:
+    g, _ = parse_graph_spec(args.spec_a)
+    h, _ = parse_graph_spec(args.spec_b)
     same = are_cospectral(g, h)
     _print(
-        cfg,
+        args,
         json_payload={"a": args.spec_a, "b": args.spec_b, "cospectral": same},
         csv_rows=[{"a": args.spec_a, "b": args.spec_b, "cospectral": same}],
         text="cospectral" if same else "not cospectral",
-        validator=_require_keys("a", "b", "cospectral"),
     )
     return EXIT_OK
 
 
-def _kite_params_of(raw: str) -> KiteParams | None:
-    if raw.startswith("kite:"):
-        p, q = (int(x) for x in raw.split(":", 1)[1].split(","))
-        return KiteParams(p, q)
-    return None
-
-
-def cmd_invariants(cfg: RunConfig, args) -> int:
-    g = parse_graph_spec(args.spec)
+def cmd_invariants(args) -> int:
+    g, kp = parse_graph_spec(args.spec)
     info = {
         "spec": args.spec,
         "graph6": encode_graph6(g),
@@ -158,7 +115,6 @@ def cmd_invariants(cfg: RunConfig, args) -> int:
         "connected": is_connected(g),
         "spectral_radius": round(bounds_mod.spectral_radius(g), 10) if g.n else None,
     }
-    kp = _kite_params_of(args.spec)
     if kp is not None and kp.p >= 3:
         rb = bounds_mod.kite_radius_bounds(kp.p)
         info["radius_lower_bound"] = rb.lower
@@ -167,16 +123,15 @@ def cmd_invariants(cfg: RunConfig, args) -> int:
             info["clique_lower_bound"] = bounds_mod.kite_clique_bound(kp.p, kp.q)
     text = "\n".join(f"{k}: {v}" for k, v in info.items())
     _print(
-        cfg,
+        args,
         json_payload=info,
         csv_rows=[{k: json.dumps(v) if isinstance(v, list) else v for k, v in info.items()}],
         text=text,
-        validator=_require_keys("n", "m", "triangles", "clique_number"),
     )
     return EXIT_OK
 
 
-def cmd_kite_census(cfg: RunConfig, args) -> int:
+def cmd_kite_census(args) -> int:
     rows = das.verify_theorem31(args.max_n)
     payload = {
         "max_n": args.max_n,
@@ -191,22 +146,21 @@ def cmd_kite_census(cfg: RunConfig, args) -> int:
         for r in rows
     )
     _print(
-        cfg,
+        args,
         json_payload=payload,
         csv_rows=payload["rows"],
         text=text or "no kites in range",
-        validator=_require_keys("max_n", "rows", "all_distinct"),
     )
     return EXIT_OK if payload["all_distinct"] else EXIT_THEOREM_CONTRADICTED
 
 
-def cmd_das_verify(cfg: RunConfig, args) -> int:
+def cmd_das_verify(args) -> int:
     p, q = args.p, args.q
     try:
         if q == 2:
-            report = das.verify_theorem42(p, workers=cfg.worker_count)
+            report = das.verify_theorem42(p, workers=args.workers)
         elif q > 2:
-            report = das.conjecture43_evidence(p, q, workers=cfg.worker_count)
+            report = das.conjecture43_evidence(p, q, workers=args.workers)
         else:
             raise CliError("das-verify needs q >= 2")
     except ValueError as exc:
@@ -218,52 +172,53 @@ def cmd_das_verify(cfg: RunConfig, args) -> int:
         + (f", mates: {', '.join(report.mates)}" if report.mates else "")
     )
     _print(
-        cfg,
+        args,
         json_payload=payload,
         csv_rows=[{k: v for k, v in payload.items() if not isinstance(v, (dict, list))}],
         text=text,
-        validator=_require_keys("target", "verdict", "mates", "classes_scanned"),
     )
     return EXIT_THEOREM_CONTRADICTED if report.mates else EXIT_OK
 
 
-def cmd_bounds(cfg: RunConfig, args) -> int:
+def cmd_bounds(args) -> int:
     rb = bounds_mod.kite_radius_bounds(args.p)
     payload = {"p": args.p, "lower": rb.lower, "upper": rb.upper}
     text = f"{rb.lower:.9f} < rho(Kite_{{{args.p},q}}) < {rb.upper:.9f}"
+    holds = True
     if args.q is not None:
+        if args.q < 1:
+            raise CliError("the radius sandwich needs q >= 1")
         rho = bounds_mod.spectral_radius(make_kite(p=args.p, q=args.q))
-        payload.update(q=args.q, spectral_radius=rho, sandwich_holds=rb.lower < rho < rb.upper)
-        text += f"; rho(Kite_{{{args.p},{args.q}}}) = {rho:.10f} ({'ok' if payload['sandwich_holds'] else 'VIOLATED'})"
+        holds = rb.lower < rho < rb.upper
+        payload.update(q=args.q, spectral_radius=rho, sandwich_holds=holds)
+        text += f"; rho(Kite_{{{args.p},{args.q}}}) = {rho:.10f} ({'ok' if holds else 'VIOLATED'})"
     _print(
-        cfg,
+        args,
         json_payload=payload,
         csv_rows=[payload],
         text=text,
-        validator=_require_keys("p", "lower", "upper"),
     )
-    return EXIT_OK
+    return EXIT_OK if holds else EXIT_THEOREM_CONTRADICTED
 
 
-def cmd_enumerate(cfg: RunConfig, args) -> int:
+def cmd_enumerate(args) -> int:
     constraints = EnumConstraints(
         n=args.n, edges=args.edges, connected_only=args.connected
     )
     graphs = list(enumerate_graphs(constraints))
-    if cfg.cache_dir:
-        cache_store(cfg.cache_dir, constraints, graphs)
+    if args.cache_dir:
+        cache_store(args.cache_dir, constraints, graphs)
     lines = [encode_graph6(g) for g in graphs]
     _print(
-        cfg,
+        args,
         json_payload={"n": args.n, "count": len(lines), "graphs": lines},
         csv_rows=[{"graph6": line} for line in lines],
         text="\n".join(lines) if lines else "(none)",
-        validator=_require_keys("n", "count", "graphs"),
     )
     return EXIT_OK
 
 
-def cmd_lemma41_check(cfg: RunConfig, args) -> int:
+def cmd_lemma41_check(args) -> int:
     checks = bounds_mod.verify_lemma41_inequality(args.max_p)
     violations = [c for c in checks if not c.holds]
     payload = {
@@ -273,16 +228,26 @@ def cmd_lemma41_check(cfg: RunConfig, args) -> int:
     }
     text = f"{len(checks)} inequality checks, {len(violations)} violations"
     _print(
-        cfg,
+        args,
         json_payload=payload,
         csv_rows=[c.to_json() for c in checks],
         text=text,
-        validator=_require_keys("max_p", "checks", "violations"),
     )
     return EXIT_OK if not violations else EXIT_THEOREM_CONTRADICTED
 
 
 # -- argument parsing ------------------------------------------------------
+
+
+def _positive(kind):
+    """argparse type: ``kind(raw)``, rejected unless it is > 0."""
+    def convert(raw: str):
+        value = kind(raw)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {raw!r}")
+        return value
+    convert.__name__ = kind.__name__  # argparse names the type in its errors
+    return convert
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -292,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
         "cospectrality, bounds, and exhaustive DAS verification.",
     )
     parser.add_argument("--cache-dir", default=None, help=f"graph cache directory (env {CACHE_DIR_ENV})")
-    parser.add_argument("--tol", type=float, default=1e-12, help="eigensolver tolerance")
-    parser.add_argument("--workers", type=int, default=1, help="enumeration worker count")
+    parser.add_argument("--tol", type=_positive(float), default=1e-12, help="eigensolver tolerance")
+    parser.add_argument("--workers", type=_positive(int), default=1, help="enumeration worker count")
     parser.add_argument("--format", choices=["json", "csv", "text"], default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -347,16 +312,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    cache_dir = args.cache_dir or os.environ.get(CACHE_DIR_ENV)
+    args.cache_dir = args.cache_dir or os.environ.get(CACHE_DIR_ENV)
     try:
-        cfg = RunConfig(
-            cache_dir=cache_dir,
-            tol=args.tol,
-            worker_count=args.workers,
-            output_format=args.format,
-        )
-        return args.func(cfg, args)
-    except (CliError, GraphError, ValueError) as exc:
+        return args.func(args)
+    except (CliError, GraphError, ValueError, bounds_mod.ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -13,12 +13,13 @@ space is cospectral with the target without being isomorphic to it.
 from __future__ import annotations
 
 import concurrent.futures
+import os
 from dataclasses import dataclass, field
 from math import comb
 
 from .charpoly import charpoly, kite_charpoly, walk_count
 from .graph import Graph, KiteParams, encode_graph6, make_gb, make_gc, make_kite, triangle_count
-from .enumeration import CanonicalKey, EnumConstraints, canonical_form, enumerate_graphs
+from .enumeration import EnumConstraints, canonical_form, enumerate_graphs
 
 VERDICT_DAS = "DAS-confirmed-at-scale"
 VERDICT_MATES = "mates-found"
@@ -69,7 +70,7 @@ def _scan_partition(args) -> tuple[int, int, list[str]]:
     Returns (classes_scanned, prefilter_survivors, mate graph6 strings).
     Top-level so it pickles for process pools.
     """
-    target_g6, n, m, connected_only, use_prefilter, part, total = args
+    target_g6, n, m, connected_only, part, total = args
     from .graph import decode_graph6
 
     target = decode_graph6(target_g6)
@@ -82,7 +83,7 @@ def _scan_partition(args) -> tuple[int, int, list[str]]:
     mates = []
     for g in enumerate_graphs(constraints, partition):
         scanned += 1
-        if use_prefilter and triangle_count(g) != target_t:
+        if triangle_count(g) != target_t:
             continue
         survivors += 1
         if charpoly(g) != target_poly:
@@ -98,13 +99,13 @@ def find_cospectral_mates(
     connected_only: bool = False,
     *,
     target_params: KiteParams | None = None,
-    use_prefilter: bool = True,
     workers: int = 1,
     claim: str = "exhaustive",
 ) -> SearchReport:
     """Exhaustive cospectral-mate search over all isomorphism classes with
     the target's vertex and edge counts (disconnected graphs included unless
-    ``connected_only``)."""
+    ``connected_only``).  The space is split into one partition per worker,
+    at most one per CPU; the merged report does not depend on the split."""
     n, m = target.n, target.edge_count()
     report = SearchReport(
         target=encode_graph6(target),
@@ -118,11 +119,8 @@ def find_cospectral_mates(
         ),
         claim=claim,
     )
-    total = max(1, workers)
-    jobs = [
-        (report.target, n, m, connected_only, use_prefilter, k, total)
-        for k in range(total)
-    ]
+    total = max(1, min(workers, os.cpu_count() or 1))
+    jobs = [(report.target, n, m, connected_only, k, total) for k in range(total)]
     if total == 1:
         results = [_scan_partition(jobs[0])]
     else:

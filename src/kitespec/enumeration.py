@@ -336,23 +336,6 @@ def enumerate_graphs(
     yield from walk(Graph(1, (0,)), [0])
 
 
-def brute_force_classes(n: int, connected_only: bool = False) -> set[CanonicalKey]:
-    """Oracle: canonicalize every labeled graph on n vertices directly."""
-    keys = set()
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for mask in range(1 << len(pairs)):
-        rows = [0] * n
-        for b, (i, j) in enumerate(pairs):
-            if mask >> b & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-        g = Graph(n, tuple(rows))
-        if connected_only and not is_connected(g):
-            continue
-        keys.add(canonical_form(g))
-    return keys
-
-
 # -- on-disk graph6 cache -----------------------------------------------------
 
 

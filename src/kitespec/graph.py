@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
 
 HARD_CAP = 24
 
@@ -57,9 +56,6 @@ class Graph:
 
     def degree_sequence(self) -> list[int]:
         return sorted((r.bit_count() for r in self.rows), reverse=True)
-
-    def neighbors(self, v: int) -> list[int]:
-        return _bits(self.rows[v])
 
     def edges(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(self.n) for j in _bits(self.rows[i]) if j > i]
@@ -203,13 +199,6 @@ def make_gc(p: int) -> Graph:
     return from_edges(p + 2, edges)
 
 
-@dataclass(frozen=True)
-class CliqueStats:
-    clique_number: int
-    triangle_count: int
-    edge_count: int
-
-
 # -- structural invariants ------------------------------------------------
 
 
@@ -251,10 +240,6 @@ def clique_number(g: Graph) -> int:
 
     expand(0, (1 << g.n) - 1, 0)
     return best
-
-
-def clique_stats(g: Graph) -> CliqueStats:
-    return CliqueStats(clique_number(g), triangle_count(g), g.edge_count())
 
 
 def is_connected(g: Graph) -> bool:
@@ -343,10 +328,12 @@ class SpecParseError(GraphError):
         super().__init__(f"{message} (at position {pos} in {raw!r})")
 
 
-def parse_graph_spec(raw: str) -> Graph:
+def parse_graph_spec(raw: str) -> tuple[Graph, KiteParams | None]:
     """Parse the shared descriptor grammar:
 
     ``kite:p,q | path:n | complete:n | knm:n,m | gb:p | gc:p | g6:<string>``
+
+    Returns the graph and, for ``kite:p,q`` only, its kite parameters.
     """
     if ":" not in raw:
         raise SpecParseError(raw, 0, "expected 'family:args'")
@@ -370,26 +357,23 @@ def parse_graph_spec(raw: str) -> Graph:
     try:
         if head == "kite":
             p, q = ints(2)
-            return make_kite(KiteParams(p, q))
+            params = KiteParams(p, q)
+            return make_kite(params), params
         if head == "path":
-            return make_path(ints(1)[0])
+            return make_path(ints(1)[0]), None
         if head == "complete":
-            return make_complete(ints(1)[0])
+            return make_complete(ints(1)[0]), None
         if head == "knm":
             n, m = ints(2)
-            return make_knm(n, m)
+            return make_knm(n, m), None
         if head == "gb":
-            return make_gb(ints(1)[0])
+            return make_gb(ints(1)[0]), None
         if head == "gc":
-            return make_gc(ints(1)[0])
+            return make_gc(ints(1)[0]), None
         if head == "g6":
-            return decode_graph6(tail)
+            return decode_graph6(tail), None
     except SpecParseError:
         raise
     except GraphError as exc:
         raise SpecParseError(raw, argpos, str(exc)) from None
     raise SpecParseError(raw, 0, f"unknown family {head!r}")
-
-
-def kite_edge_count(p: int, q: int) -> int:
-    return comb(p, 2) + q

@@ -122,13 +122,6 @@ X = IntPolynomial((0, 1))
 ONE = IntPolynomial((1,))
 
 
-def from_roots(*roots: int) -> IntPolynomial:
-    out = ONE
-    for r in roots:
-        out = out * IntPolynomial((-r, 1))
-    return out
-
-
 def lagrange_integer(points: list[tuple[int, int]]) -> IntPolynomial:
     """Interpolate the unique polynomial through integer points; raises if
     the result is not integer-coefficient."""

@@ -2,7 +2,10 @@ import random
 
 import pytest
 
+from kitespec.bounds import Spectrum
+from kitespec.enumeration import CanonicalKey, canonical_form
 from kitespec.graph import Graph, from_edges, is_connected
+from kitespec.polynomial import IntPolynomial
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
@@ -22,3 +25,46 @@ def random_connected_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
 @pytest.fixture
 def rng():
     return random.Random(0x5EED)
+
+
+# -- oracles that check the package from outside ----------------------------
+
+
+def brute_force_classes(n: int, connected_only: bool = False) -> set[CanonicalKey]:
+    """Oracle: canonicalize every labeled graph on n vertices directly."""
+    keys = set()
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for mask in range(1 << len(pairs)):
+        rows = [0] * n
+        for b, (i, j) in enumerate(pairs):
+            if mask >> b & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+        g = Graph(n, tuple(rows))
+        if connected_only and not is_connected(g):
+            continue
+        keys.add(canonical_form(g))
+    return keys
+
+
+def spectrum_sane(spec: Spectrum, edge_count: int) -> bool:
+    """Trace checks: the eigenvalues sum to 0 and their squares to 2m."""
+    n = len(spec.values)
+    tol = max(spec.tol, 1e-12)
+    if abs(sum(spec.values)) > n * max(tol, 1e-9):
+        return False
+    return abs(sum(v * v for v in spec.values) - 2 * edge_count) <= n * n * max(tol, 1e-9)
+
+
+def coefficient_edge_count(poly: IntPolynomial) -> int:
+    """Edge count read off the lambda^{n-2} coefficient (which equals -m)."""
+    return -poly[poly.degree - 2] if poly.degree >= 2 else 0
+
+
+def coefficient_triangle_count(poly: IntPolynomial) -> int:
+    """Triangle count read off the lambda^{n-3} coefficient (equals -2t)."""
+    if poly.degree < 3:
+        return 0
+    c = poly[poly.degree - 3]
+    assert c % 2 == 0
+    return -c // 2

@@ -43,7 +43,6 @@ from kitespec.das import (
 )
 from kitespec.enumeration import (
     EnumConstraints,
-    brute_force_classes,
     canonical_form,
     enumerate_graphs,
 )
@@ -57,6 +56,8 @@ from kitespec.graph import (
     make_star,
     triangle_count,
 )
+
+from conftest import brute_force_classes
 
 RADIUS_MARGIN = 1e-9
 RADIUS_TOL = 1e-10

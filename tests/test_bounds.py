@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kitespec.bounds import (
+    _poly_div_exact,
     CERT_MARGIN,
     RADIUS_TOL,
     InequalityCheck,
@@ -16,7 +17,6 @@ from kitespec.bounds import (
     largest_root,
     nikiforov_bound,
     spectral_radius,
-    spectrum_sane,
     squarefree_part,
     sturm_chain,
     sturm_count_above,
@@ -34,7 +34,7 @@ from kitespec.graph import (
 )
 from kitespec.polynomial import IntPolynomial, X
 
-from conftest import random_graph
+from conftest import random_graph, spectrum_sane
 
 
 class TestJacobi:
@@ -75,6 +75,12 @@ class TestSturm:
         sf = squarefree_part(p)
         assert sf.degree == 2
         assert sf(1) == 0 and sf(-2) == 0
+
+    def test_inexact_division_raises(self):
+        # an explicit check, so it holds under python -O as well
+        assert _poly_div_exact((X - 1) * (X + 2), X - 1) == X + 2
+        with pytest.raises(ArithmeticError):
+            _poly_div_exact(X**2 + 1, X - 1)
 
     def test_count_above(self):
         chain = sturm_chain(X**2 - 2)

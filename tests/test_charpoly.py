@@ -16,8 +16,6 @@ from kitespec.charpoly import (
     closed_form_gc,
     closed_form_kite1,
     closed_form_kite2,
-    coefficient_edge_count,
-    coefficient_triangle_count,
     kite_charpoly,
     kite_u_closed_form,
     kite_u_identity_check,
@@ -37,7 +35,7 @@ from kitespec.graph import (
 )
 from kitespec.polynomial import IntPolynomial, X, lagrange_integer
 
-from conftest import random_graph
+from conftest import coefficient_edge_count, coefficient_triangle_count, random_graph
 
 
 def leibniz_det(m):

@@ -9,9 +9,9 @@ from kitespec.cli import (
     EXIT_OK,
     EXIT_THEOREM_CONTRADICTED,
     EXIT_USAGE,
-    RunConfig,
     main,
 )
+from kitespec import bounds
 from kitespec.charpoly import charpoly
 from kitespec.enumeration import EnumConstraints, cache_load
 from kitespec.graph import make_kite
@@ -23,18 +23,65 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-class TestRunConfig:
-    def test_defaults(self):
-        cfg = RunConfig()
-        assert (cfg.tol, cfg.worker_count, cfg.output_format) == (1e-12, 1, "text")
+KITE_PANEL = {
+    "spec", "graph6", "n", "m", "triangles", "clique_number", "degree_sequence",
+    "connected", "spectral_radius",
+}
 
+
+class TestJsonSchema:
     @pytest.mark.parametrize(
-        "kwargs",
-        [{"tol": 0.0}, {"tol": -1e-9}, {"worker_count": 0}, {"output_format": "yaml"}],
+        "argv,keys",
+        [
+            (["charpoly", "kite:3,1"], {"spec", "coefficients"}),
+            (["spectrum", "complete:3"], {"spec", "eigenvalues", "tol"}),
+            (["cospectral", "g6:DEo", "g6:Ds_"], {"a", "b", "cospectral"}),
+            (
+                ["invariants", "kite:7,2"],
+                KITE_PANEL | {"radius_lower_bound", "radius_upper_bound", "clique_lower_bound"},
+            ),
+            (["invariants", "path:4"], KITE_PANEL),
+            (["kite-census", "--max-n", "6"], {"max_n", "rows", "all_distinct"}),
+            (
+                ["das-verify", "--p", "3", "--q", "2"],
+                {"target", "target_params", "n", "m", "t", "space_description",
+                 "classes_scanned", "prefilter_survivors", "mates", "verdict", "claim"},
+            ),
+            (
+                ["bounds", "--p", "5", "--q", "3"],
+                {"p", "lower", "upper", "q", "spectral_radius", "sandwich_holds"},
+            ),
+            (["enumerate", "--n", "3"], {"n", "count", "graphs"}),
+            (["lemma41-check", "--max-p", "9"], {"max_p", "checks", "violations"}),
+        ],
+        ids=["charpoly", "spectrum", "cospectral", "invariants-kite", "invariants-plain",
+             "kite-census", "das-verify", "bounds", "enumerate", "lemma41-check"],
     )
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            RunConfig(**kwargs)
+    def test_exact_keys(self, capsys, argv, keys):
+        code, out, _ = run(capsys, "--format", "json", *argv)
+        assert code == EXIT_OK
+        assert set(json.loads(out)) == keys
+
+
+class TestGlobalFlags:
+    @pytest.mark.parametrize(
+        "flag", [["--tol", "0"], ["--tol", "-1e-9"], ["--workers", "0"]], ids=" ".join
+    )
+    def test_nonpositive_is_usage_error(self, capsys, flag):
+        code, out, _ = run(capsys, *flag, "spectrum", "path:3")
+        assert code == EXIT_USAGE
+        assert out == ""
+
+    def test_spectrum_reports_default_tol(self, capsys):
+        code, out, _ = run(capsys, "--format", "json", "spectrum", "path:3")
+        assert code == EXIT_OK
+        assert json.loads(out)["tol"] == 1e-12
+
+    def test_unreachable_tol_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "--tol", "1e-300", "spectrum", "complete:5")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 class TestCharpolyCommand:
@@ -133,6 +180,18 @@ class TestBoundsCommand:
     def test_p_too_small(self, capsys):
         code, _, err = run(capsys, "bounds", "--p", "2")
         assert code == EXIT_USAGE
+
+    def test_q_below_one_is_usage_error(self, capsys):
+        # the sandwich is claimed for q >= 1 only
+        code, out, err = run(capsys, "bounds", "--p", "5", "--q", "0")
+        assert code == EXIT_USAGE
+        assert out == "" and err.startswith("error:")
+
+    def test_violated_sandwich_contradicts_theorem(self, capsys, monkeypatch):
+        monkeypatch.setattr(bounds, "spectral_radius", lambda g: 100.0)
+        code, out, _ = run(capsys, "bounds", "--p", "5", "--q", "3")
+        assert code == EXIT_THEOREM_CONTRADICTED
+        assert "VIOLATED" in out
 
 
 class TestEnumerateCommand:

@@ -1,5 +1,6 @@
 import pytest
 
+from kitespec import das
 from kitespec.charpoly import are_cospectral, charpoly
 from kitespec.das import (
     VERDICT_DAS,
@@ -12,7 +13,7 @@ from kitespec.das import (
     verify_theorem31,
     verify_theorem42,
 )
-from kitespec.enumeration import canonical_form
+from kitespec.enumeration import EnumConstraints, canonical_form, enumerate_graphs
 from kitespec.graph import (
     KiteParams,
     decode_graph6,
@@ -23,6 +24,7 @@ from kitespec.graph import (
     make_kite,
     make_path,
     make_star,
+    triangle_count,
 )
 
 
@@ -57,12 +59,20 @@ class TestMateSearch:
             assert report.verdict == VERDICT_DAS, (p, q)
 
     def test_prefilter_is_lossless(self):
-        target = make_kite(p=4, q=2)
-        with_pf = find_cospectral_mates(target, use_prefilter=True)
-        without_pf = find_cospectral_mates(target, use_prefilter=False)
-        assert with_pf.mates == without_pf.mates
-        assert with_pf.classes_scanned == without_pf.classes_scanned
-        assert with_pf.prefilter_survivors <= without_pf.prefilter_survivors
+        # oracle: every class of the space, compared without the triangle prefilter
+        for target in (make_kite(p=4, q=2), make_star(4)):
+            space = list(enumerate_graphs(EnumConstraints(n=target.n, edges=target.edge_count())))
+            mates = {
+                encode_graph6(g)
+                for g in space
+                if charpoly(g) == charpoly(target) and canonical_form(g) != canonical_form(target)
+            }
+            report = find_cospectral_mates(target)
+            assert report.mates == sorted(mates)
+            assert report.classes_scanned == len(space)
+            assert report.prefilter_survivors == sum(
+                triangle_count(g) == triangle_count(target) for g in space
+            )
 
     def test_parallel_matches_serial(self):
         target = make_kite(p=4, q=2)
@@ -71,6 +81,38 @@ class TestMateSearch:
         assert serial.mates == parallel.mates
         assert serial.classes_scanned == parallel.classes_scanned
         assert serial.verdict == parallel.verdict
+
+    def test_partitions_capped_at_cpu_count(self, monkeypatch):
+        # a serial stand-in for the pool, so a missing cap cannot start processes
+        seen = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                jobs = list(jobs)
+                seen.append(len(jobs))
+                return map(fn, jobs)
+
+        monkeypatch.setattr(das.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(das.os, "cpu_count", lambda: 3)
+        target = make_kite(p=4, q=2)
+        serial = find_cospectral_mates(target)
+        capped = find_cospectral_mates(target, workers=5000)
+        assert seen == [3, 3]
+        assert (capped.mates, capped.classes_scanned, capped.prefilter_survivors) == (
+            serial.mates, serial.classes_scanned, serial.prefilter_survivors
+        )
+        monkeypatch.setattr(das.os, "cpu_count", lambda: None)
+        find_cospectral_mates(target, workers=5000)
+        assert seen == [3, 3]
 
     def test_report_fields(self):
         target = make_kite(p=4, q=1)

@@ -13,7 +13,6 @@ from kitespec.enumeration import (
     CorruptCacheError,
     EnumConstraints,
     EnumerationError,
-    brute_force_classes,
     cache_load,
     cache_store,
     canonical_form,
@@ -34,7 +33,7 @@ from kitespec.graph import (
     triangle_count,
 )
 
-from conftest import random_graph
+from conftest import brute_force_classes, random_graph
 
 # isomorphism-class counts for simple graphs on n vertices (all / connected)
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}

@@ -180,8 +180,9 @@ class TestSpecGrammar:
         ],
     )
     def test_valid_specs(self, raw, n, m):
-        g = parse_graph_spec(raw)
+        g, params = parse_graph_spec(raw)
         assert (g.n, g.edge_count()) == (n, m)
+        assert params == (KiteParams(4, 2) if raw.startswith("kite:") else None)
 
     @pytest.mark.parametrize(
         "raw", ["kite", "kite:1", "kite:a,b", "blob:3", "knm:3,5", "g6:", "path:x"]
