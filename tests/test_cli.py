@@ -72,6 +72,12 @@ class TestGlobalFlags:
         assert code == EXIT_USAGE
         assert out == ""
 
+    def test_unknown_format_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "--format", "yaml", "spectrum", "path:3")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "yaml" in err
+
     def test_spectrum_reports_default_tol(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "spectrum", "path:3")
         assert code == EXIT_OK
