@@ -250,6 +250,24 @@ def _positive(kind):
     return convert
 
 
+TOL_MAX = 1e-6  # eigenvalues are printed to six decimals
+
+
+def _tolerance(raw: str) -> float:
+    """argparse type for ``--tol``: a float in (0, TOL_MAX].
+
+    The eigensolver stops once its off-diagonal norm is below the tolerance,
+    so a larger one (or ``inf``) returns eigenvalues wrong in printed digits.
+    """
+    try:
+        value = float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {raw!r}") from None
+    if not 0 < value <= TOL_MAX:
+        raise argparse.ArgumentTypeError(f"must lie in (0, {TOL_MAX:g}], got {raw!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kitespec",
@@ -257,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         "cospectrality, bounds, and exhaustive DAS verification.",
     )
     parser.add_argument("--cache-dir", default=None, help=f"graph cache directory (env {CACHE_DIR_ENV})")
-    parser.add_argument("--tol", type=_positive(float), default=1e-12, help="eigensolver tolerance")
+    parser.add_argument("--tol", type=_tolerance, default=1e-12, help="eigensolver tolerance")
     parser.add_argument("--workers", type=_positive(int), default=1, help="enumeration worker count")
     parser.add_argument("--format", choices=["json", "csv", "text"], default="text")
     sub = parser.add_subparsers(dest="command", required=True)

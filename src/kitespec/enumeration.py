@@ -17,14 +17,30 @@ symmetric graphs such as K_n and K_{a,b} become cheap, while graphs with
 small groups (long cycles) still cost what the plain search costs.
 
 Generation uses canonical augmentation (McKay, "Isomorph-free exhaustive
-generation", 1998): a child built by appending one vertex is kept only when
-the appended vertex can sit in the last canonical position, i.e. the inverse
-deletion is the canonical one.  That yields exactly one representative per
-isomorphism class with no global dedup table.  Before a child is built, its
-edge count must fit the edge window and the new vertex must have maximum
-degree (the last cell lies in the maximum-degree class); once built, the
-child is refined once and dropped unless the new vertex lies in the last
-cell, before any backtracking.
+generation", 1998): a child is its parent plus one vertex joined to the
+vertex set ``mask``, and it is kept only when
+
+- ``mask`` is the least mask of its orbit under Aut(parent), whose
+  generators the parent's own canonical search returned; masks in one orbit
+  give isomorphic children, and the orbits are marked as the masks are
+  visited in ascending order, before any child is built;
+- the appended vertex can sit in the last canonical position, i.e. the
+  inverse deletion is the canonical one.
+
+Two kept children of one parent that are isomorphic would come from one
+mask orbit, and children of non-isomorphic parents are never isomorphic,
+so the stream holds exactly one representative per isomorphism class
+without any table of seen keys.  Every filter, the ones that follow
+included, is invariant under Aut(parent), so the representative kept is
+always its orbit's least mask.
+
+Before a child is built, its edge count must fit the edge window and the
+new vertex must have maximum degree (the last cell lies in the
+maximum-degree class); once built, the child is refined once and dropped
+unless the new vertex lies in the last cell, before any backtracking.  On
+the last level a child whose last cell is the new vertex alone passes
+canonical deletion outright and nothing uses its automorphisms, so it is
+yielded without a canonical search.
 """
 
 from __future__ import annotations
@@ -124,28 +140,54 @@ def _refinement_cells(g: Graph) -> list[list[int]]:
     return cells
 
 
+def _images(mask: int, gens: list[list[int]]) -> list[int]:
+    """The vertex bitmask ``mask`` moved by each permutation in ``gens``."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    images = []
+    for img in gens:
+        image = 0
+        for v in bits:
+            image |= 1 << img[v]
+        images.append(image)
+    return images
+
+
 def _orbit(mask: int, gens: list[list[int]]) -> int:
     """Closure of a vertex bitmask under the permutations ``gens``."""
-    frontier = mask
+    frontier = mask if gens else 0  # the common trivial group moves nothing
     while frontier:
         image = 0
-        for img in gens:
-            rest = frontier
-            while rest:
-                low = rest & -rest
-                image |= 1 << img[low.bit_length() - 1]
-                rest ^= low
+        for moved in _images(frontier, gens):
+            image |= moved
         frontier = image & ~mask
         mask |= frontier
     return mask
 
 
+def _mask_orbit(mask: int, gens: list[list[int]]) -> set[int]:
+    """Every image of the vertex set ``mask`` under the group that ``gens``
+    generate."""
+    orbit = {mask}
+    frontier = [mask]
+    while frontier:
+        for image in _images(frontier.pop(), gens):
+            if image not in orbit:
+                orbit.add(image)
+                frontier.append(image)
+    return orbit
+
+
 def _canonical_search(
     g: Graph, cells: list[list[int]] | None = None
-) -> tuple[tuple[int, ...], int]:
-    """Minimal column encoding over cell-respecting orderings, plus the
-    bitmask of vertices that occupy the last position in some minimizing
-    ordering (the orbit of the canonical-deletion vertex).
+) -> tuple[tuple[int, ...], int, list[list[int]]]:
+    """Minimal column encoding over cell-respecting orderings, the bitmask
+    of vertices that occupy the last position in some minimizing ordering
+    (the orbit of the canonical-deletion vertex), and generators of the
+    automorphism group as image lists.
 
     ``cells`` is ``_refinement_cells(g)`` when the caller already has it.
     Two leaves with equal columns differ by an automorphism, which is
@@ -157,7 +199,7 @@ def _canonical_search(
     """
     n = g.n
     if n == 0:
-        return (), 0
+        return (), 0, []
     if cells is None:
         cells = _refinement_cells(g)
     cell_of_pos: list[list[int]] = []
@@ -214,7 +256,8 @@ def _canonical_search(
     rec(0, 0, [])
     if best is None:
         raise RuntimeError("canonical search reached no leaf")
-    return tuple(best), _orbit(1 << best_perm[-1], [img for _, img in autos])
+    gens = [img for _, img in autos]
+    return tuple(best), _orbit(1 << best_perm[-1], gens), gens
 
 
 def _cols_to_bits(cols: tuple[int, ...]) -> int:
@@ -225,13 +268,13 @@ def _cols_to_bits(cols: tuple[int, ...]) -> int:
 
 
 def canonical_form(g: Graph) -> CanonicalKey:
-    cols, _ = _canonical_search(g)
+    cols = _canonical_search(g)[0]
     return CanonicalKey(g.n, _cols_to_bits(cols))
 
 
 def canonical_graph(g: Graph) -> Graph:
     """A canonically labeled copy (equal for all members of the class)."""
-    cols, _ = _canonical_search(g)
+    cols = _canonical_search(g)[0]
     rows = [0] * g.n
     for j, col in enumerate(cols):
         for i in range(j):
@@ -275,9 +318,14 @@ def enumerate_graphs(
     target_tri = constraints.triangles
     max_total = comb(n, 2)
 
-    def children(parent: Graph) -> Iterator[Graph]:
-        seen: set[CanonicalKey] = set()
+    def children(
+        parent: Graph, gens: list[list[int]]
+    ) -> Iterator[tuple[Graph, list[list[int]]]]:
+        """Canonical children of ``parent`` with their automorphism
+        generators; ``gens`` generate Aut(parent)."""
         k = parent.n
+        last_level = k + 1 == n
+        covered: set[int] = set()  # masks in the orbit of an earlier one
         degrees = [r.bit_count() for r in parent.rows]
         top = max(degrees)
         top_mask = sum(1 << i for i, d in enumerate(degrees) if d == top)
@@ -294,20 +342,27 @@ def enumerate_graphs(
             # lies inside the child's maximum-degree class
             if d < (top + 1 if mask & top_mask else top):
                 continue
+            # masks in one Aut(parent)-orbit give isomorphic children, and
+            # every test in this loop gives one answer on the whole orbit,
+            # so its least mask stands for it
+            if gens:
+                if mask in covered:
+                    continue
+                covered |= _mask_orbit(mask, gens)
             child = _extend(parent, mask)
             if target_tri is not None and triangle_count(child) > target_tri:
                 continue
             cells = _refinement_cells(child)
             if cells[-1][-1] != k:
                 continue
-            cols, last = _canonical_search(child, cells)
-            if not last >> k & 1:
+            if last_level and len(cells[-1]) == 1:
+                # k is last in every cell-respecting ordering, and a leaf's
+                # automorphisms are never used
+                yield child, []
                 continue
-            key = CanonicalKey(child.n, _cols_to_bits(cols))
-            if key in seen:
-                continue
-            seen.add(key)
-            yield child
+            _, last, child_gens = _canonical_search(child, cells)
+            if last >> k & 1:
+                yield child, child_gens
 
     def accepted(g: Graph) -> bool:
         if target_edges is not None and g.edge_count() != target_edges:
@@ -320,7 +375,7 @@ def enumerate_graphs(
 
     split_level = min(4, n) if partition is not None else None
 
-    def walk(g: Graph, index: list[int]) -> Iterator[Graph]:
+    def walk(g: Graph, gens: list[list[int]], index: list[int]) -> Iterator[Graph]:
         if split_level is not None and g.n == split_level:
             mine = index[0] % partition[1] == partition[0]
             index[0] += 1
@@ -330,10 +385,10 @@ def enumerate_graphs(
             if accepted(g):
                 yield g
             return
-        for child in children(g):
-            yield from walk(child, index)
+        for child, child_gens in children(g, gens):
+            yield from walk(child, child_gens, index)
 
-    yield from walk(Graph(1, (0,)), [0])
+    yield from walk(Graph(1, (0,)), [], [0])
 
 
 # -- on-disk graph6 cache -----------------------------------------------------

@@ -72,6 +72,17 @@ class TestGlobalFlags:
         assert code == EXIT_USAGE
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "tol, spec", [("inf", "complete:3"), ("nan", "complete:3"), ("0.5", "kite:4,2")]
+    )
+    def test_tol_beyond_print_precision_is_usage_error(self, capsys, tol, spec):
+        # eigenvalues print to six decimals; a looser tolerance stops the
+        # eigensolver early and would print wrong digits with exit 0
+        code, out, err = run(capsys, "--tol", tol, "spectrum", spec)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--tol" in err
+
     def test_unknown_format_is_usage_error(self, capsys):
         code, out, err = run(capsys, "--format", "yaml", "spectrum", "path:3")
         assert code == EXIT_USAGE

@@ -45,11 +45,39 @@ STREAM_SHA256 = {
     7: "e10a6089bcb5eb6266861dc6375b91d29d262336a5062e6d80005adcf98b04cf",
     8: "db386fcab814d4b9dfe3af666ac40c9da7cd9560523cb2c23d09762189a5d7c1",
 }
+CONSTRAINED_STREAM_SHA256 = [
+    (EnumConstraints(8, edges=14), "a33b30c1f6a59638fc503fc7ea2c0d3f3a7e851e9b039633d568c28b1c09cbb5"),
+    (EnumConstraints(7, connected_only=True), "29e88adc3b56368b3005a9de608ee5e14a79700b9b0704191cc1b3da60820eb3"),
+    (EnumConstraints(7, triangles=0), "0295d531dc1a3147107ff43d8d6bebd6e79f339bca6d86a034cc416e6b152851"),
+]
+# the two halves of the n = 9, m = 23 stream the p = 7 mate search scans
+N9_M23_PARTITION_SHA256 = [
+    "3e83f2fb49e61fcb9676e166a5102dbc70b97a5c07c4605b36fdfe43b3c60e36",
+    "ebea05f65326ca71a65fc3967029edb44a07488208f387242170033c92c8e78d",
+]
+
+extended = pytest.mark.skipif(
+    os.environ.get("KITESPEC_EXTENDED") != "1", reason="set KITESPEC_EXTENDED=1"
+)
 
 
-def stream_sha256(constraints):
-    stream = "\n".join(encode_graph6(g) for g in enumerate_graphs(constraints))
+def stream_sha256(constraints, partition=None):
+    stream = "\n".join(encode_graph6(g) for g in enumerate_graphs(constraints, partition))
     return hashlib.sha256(stream.encode()).hexdigest()
+
+
+def group_order(gens, n):
+    """Order of the permutation group on range(n) that ``gens`` generate."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        perm = frontier.pop()
+        for img in gens:
+            product = tuple(img[v] for v in perm)
+            if product not in group:
+                group.add(product)
+                frontier.append(product)
+    return len(group)
 
 
 def complete_bipartite(a, b):
@@ -79,6 +107,26 @@ class TestCanonicalForm:
             assert canonical_form(cg) == canonical_form(g)
             assert canonical_graph(cg) == cg
             assert sorted(cg.degree_sequence()) == sorted(g.degree_sequence())
+
+    def test_search_generates_automorphism_group(self):
+        # children() keeps one mask per orbit of these generators, so they
+        # must generate all of Aut(G), not a subgroup
+        nx = pytest.importorskip("networkx")
+        from networkx.algorithms.isomorphism import GraphMatcher
+
+        checked = 0
+        for h in nx.graph_atlas_g():
+            n = h.number_of_nodes()
+            if not 1 <= n <= 6:
+                continue
+            g = from_edges(n, h.edges())
+            gens = enumeration._canonical_search(g)[2]
+            for img in gens:
+                assert g.relabel(img) == g
+            expected = sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter())
+            assert group_order(gens, n) == expected, encode_graph6(g)
+            checked += 1
+        assert checked == sum(ALL_COUNTS[n] for n in range(1, 7))
 
     def test_ordering(self):
         assert CanonicalKey(3, 1) < CanonicalKey(4, 0)
@@ -184,12 +232,24 @@ class TestEnumeration:
     def test_golden_stream_n7(self):
         assert stream_sha256(EnumConstraints(7)) == STREAM_SHA256[7]
 
-    @pytest.mark.skipif(
-        os.environ.get("KITESPEC_EXTENDED") != "1", reason="set KITESPEC_EXTENDED=1"
-    )
+    @extended
     def test_golden_stream_n8(self):
         assert sum(1 for _ in enumerate_graphs(EnumConstraints(8))) == 12346
         assert stream_sha256(EnumConstraints(8)) == STREAM_SHA256[8]
+
+    @pytest.mark.parametrize(
+        "constraints, digest",
+        CONSTRAINED_STREAM_SHA256,
+        ids=["n8-m14", "n7-connected", "n7-triangle-free"],
+    )
+    def test_golden_stream_constrained(self, constraints, digest):
+        assert stream_sha256(constraints) == digest
+
+    @extended
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_golden_stream_n9_m23_partition(self, k):
+        digest = stream_sha256(EnumConstraints(9, edges=23), partition=(k, 2))
+        assert digest == N9_M23_PARTITION_SHA256[k]
 
     def test_matches_networkx_atlas(self):
         nx = pytest.importorskip("networkx")
