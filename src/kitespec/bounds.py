@@ -19,6 +19,7 @@ from .polynomial import IntPolynomial
 JACOBI_SWEEP_CAP = 100
 RADIUS_TOL = 1e-10
 CERT_MARGIN = 1e-9
+LEMMA41_P_MAX = 100
 
 
 class ConvergenceError(RuntimeError):
@@ -142,9 +143,11 @@ def squarefree_part(poly: IntPolynomial) -> IntPolynomial:
 
 
 def _sign_at_dyadic(poly: IntPolynomial, num: int, k: int) -> int:
-    """Sign of poly(num / 2**k) via the integer-scaled value."""
-    d = poly.degree
-    total = sum(c * num**i * (1 << (k * (d - i))) for i, c in enumerate(poly.coeffs))
+    """Sign of poly(num / 2**k) via the integer-scaled value
+    2**(k*d) * poly(num / 2**k), evaluated by Horner's rule."""
+    total = 0
+    for shift, c in enumerate(reversed(poly.coeffs)):
+        total = total * num + (c << k * shift)
     return (total > 0) - (total < 0)
 
 
@@ -162,8 +165,12 @@ def sturm_count_above(chain: list[IntPolynomial], num: int, k: int) -> int:
 def largest_root(poly: IntPolynomial, tol: float = RADIUS_TOL) -> float:
     """Largest real root by Sturm-count bisection over dyadic rationals.
     Assumes at least one real root (always true for adjacency polynomials)."""
-    poly = squarefree_part(poly)
     chain = sturm_chain(poly)
+    gcd = chain[-1]
+    if gcd.degree > 0:
+        # repeated roots: bisect on the squarefree part poly / gcd(poly, poly')
+        poly = _poly_div_exact(poly, gcd)
+        chain = sturm_chain(poly)
     n = poly.degree
     bound = n + max((abs(c) for c in poly.coeffs[:-1]), default=0)
     k = 0
@@ -260,17 +267,22 @@ def verify_lemma41_inequality(p_max: int) -> list[InequalityCheck]:
     """Exact-rational replacement for the computer-algebra step behind the
     clique bound: for every p <= p_max, q >= 1 with p - 2q >= 3 and
     2 <= r < p - 2q, check 2m(r-1)/r < (p-1 + 1/p^2 + 1/p^3)^2 where
-    m = (p^2 - p + 2q)/2. Squares are compared, so no radicals appear."""
+    m = (p^2 - p + 2q)/2. Squares are compared, so no radicals appear.
+    The number of checks grows as p_max**3, so p_max is capped at
+    LEMMA41_P_MAX."""
     if p_max < 3:
         raise ValueError("p_max >= 3 required")
+    if p_max > LEMMA41_P_MAX:
+        raise ValueError(f"sweep capped at p_max <= {LEMMA41_P_MAX}")
     checks = []
     for p in range(3, p_max + 1):
         rhs = (Fraction(p - 1) + Fraction(1, p * p) + Fraction(1, p**3)) ** 2
+        num, den = rhs.numerator, rhs.denominator
         q = 1
         while p - 2 * q >= 3:
             two_m = p * p - p + 2 * q
             for r in range(2, p - 2 * q):
-                lhs = Fraction(two_m * (r - 1), r)
-                checks.append(InequalityCheck(p, q, r, lhs, rhs, lhs < rhs))
+                holds = two_m * (r - 1) * den < num * r  # lhs < rhs, cross-multiplied
+                checks.append(InequalityCheck(p, q, r, Fraction(two_m * (r - 1), r), rhs, holds))
             q += 1
     return checks

@@ -2,11 +2,15 @@
 
 Three algorithmically independent routes are provided:
 
-* :func:`charpoly` -- division-free Berkowitz method (the default),
+* :func:`charpoly` -- division-free Berkowitz method (the default), run over
+  neighbour lists instead of the adjacency matrix,
 * :func:`charpoly_pendant_recursive` -- repeated pendant deletion via
   P(G) = lambda*P(G - x1) - P(G - x1 - x2) for a pendant x1 with neighbor x2,
 * :func:`charpoly_interpolated` -- fraction-free (Bareiss) determinants of
   lambda*I - A at n+1 integer points, Lagrange-interpolated back.
+
+Kites need no graph at all: :func:`kite_charpoly` applies the same pendant
+rule along the path, starting from the binomial closed form of P(K_p).
 
 All results are monic integer polynomials; cospectrality is decided only on
 these exact coefficient vectors, never on floating-point spectra.
@@ -15,37 +19,41 @@ these exact coefficient vectors, never on floating-point spectra.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
+from operator import mul
 
 from .graph import Graph
 from .polynomial import IntPolynomial, ONE, X, lagrange_integer
 
 
 def charpoly(g: Graph) -> IntPolynomial:
-    """det(lambda*I - A(G)) by the Berkowitz division-free algorithm."""
+    """det(lambda*I - A(G)) by the Berkowitz division-free algorithm.
+
+    A is 0/1 with a zero diagonal, so every product with a row of A is a sum
+    over that vertex's neighbours among the vertices added so far."""
     n = g.n
     if n == 0:
         return ONE
-    a = g.adjacency_matrix()
+    # below[r]: neighbours of r among vertices 0..i-1 at step i
+    below: list[list[int]] = [[] for _ in range(n)]
     # vec holds the coefficients of the leading principal charpoly,
     # highest power first
-    vec = [1, -a[0][0]]
+    vec = [1, 0]
     for i in range(1, n):
-        row = [a[i][j] for j in range(i)]
-        col = [a[j][i] for j in range(i)]
+        nbrs = [j for j in range(i) if g.rows[i] >> j & 1]
         # Toeplitz column: 1, -a_ii, -row.col, -row.A.col, ...
-        t = [1, -a[i][i]]
-        v = col
-        t.append(-_dot(row, v))
+        t = [1, 0, -len(nbrs)]
+        v = [0] * i
+        for j in nbrs:
+            v[j] = 1
+        active = below[:i]
         for _ in range(i - 1):
-            v = [_dot(a[r][:i], v) for r in range(i)]
-            t.append(-_dot(row, v))
-        new = [0] * (i + 2)
-        for r in range(i + 2):
-            s = 0
-            for c in range(min(r, i) + 1):
-                s += t[r - c] * vec[c]
-            new[r] = s
-        vec = new
+            v = [sum(map(v.__getitem__, nb)) for nb in active]
+            t.append(-sum(map(v.__getitem__, nbrs)))
+        vec = [sum(map(mul, vec[: r + 1], t[r::-1])) for r in range(i + 2)]
+        for j in nbrs:
+            below[j].append(i)
+        below[i] = nbrs
     return IntPolynomial(tuple(reversed(vec)))
 
 
@@ -119,7 +127,9 @@ def closed_form_complete(p: int) -> IntPolynomial:
     """(lambda - p + 1) * (lambda + 1)**(p-1), the K_p polynomial."""
     if p < 1:
         raise ValueError("p >= 1 required")
-    return IntPolynomial((1 - p, 1)) * IntPolynomial((1, 1)).pow(p - 1)
+    # b[k] = C(p-1, k-1): (lambda + 1)**(p-1) shifted by one power
+    b = [0] + [comb(p - 1, k) for k in range(p)] + [0]
+    return IntPolynomial(tuple(b[k] + (1 - p) * b[k + 1] for k in range(p + 1)))
 
 
 def _kite1_cubic(p: int) -> IntPolynomial:
@@ -249,11 +259,16 @@ def _matmul(a, b):
 
 
 def kite_charpoly(p: int, q: int) -> IntPolynomial:
-    """Kite polynomial by the path recursion: a_q*P(K_p) - a_{q-1}*P(K_{p-1})."""
+    """Kite polynomial by pendant deletion along the path:
+    P(Kite_{p,k}) = lambda*P(Kite_{p,k-1}) - P(Kite_{p,k-2}), starting from
+    Kite_{p,0} = K_p and Kite_{p,-1} = K_{p-1}."""
     if p < 1 or q < 0:
         raise ValueError("p >= 1 and q >= 0 required")
-    if p == 1:
-        return path_poly_a(q + 1)
-    if q == 0:
-        return closed_form_complete(p)
-    return path_poly_a(q) * closed_form_complete(p) - path_poly_a(q - 1) * closed_form_complete(p - 1)
+    prev = list(closed_form_complete(p - 1).coeffs) if p > 1 else [1]
+    cur = list(closed_form_complete(p).coeffs)
+    for _ in range(q):
+        nxt = [0] + cur
+        for k, c in enumerate(prev):
+            nxt[k] -= c
+        prev, cur = cur, nxt
+    return IntPolynomial(tuple(cur))

@@ -42,7 +42,8 @@ class CliError(Exception):
     pass
 
 
-def _emit_csv(rows: list[dict]) -> str:
+def _emit_csv(rows) -> str:
+    rows = list(rows)
     if not rows:
         return ""
     buf = io.StringIO()
@@ -230,7 +231,7 @@ def cmd_lemma41_check(args) -> int:
     _print(
         args,
         json_payload=payload,
-        csv_rows=[c.to_json() for c in checks],
+        csv_rows=(c.to_json() for c in checks),
         text=text,
     )
     return EXIT_OK if not violations else EXIT_THEOREM_CONTRADICTED

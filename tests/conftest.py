@@ -3,6 +3,7 @@ import random
 import pytest
 
 from kitespec.bounds import Spectrum
+from kitespec.charpoly import path_poly_a
 from kitespec.enumeration import CanonicalKey, canonical_form
 from kitespec.graph import Graph, from_edges, is_connected
 from kitespec.polynomial import IntPolynomial
@@ -68,3 +69,16 @@ def coefficient_triangle_count(poly: IntPolynomial) -> int:
     c = poly[poly.degree - 3]
     assert c % 2 == 0
     return -c // 2
+
+
+def kite_charpoly_product(p: int, q: int) -> IntPolynomial:
+    """Oracle: a_q*P(K_p) - a_{q-1}*P(K_{p-1}), with P(K_p) multiplied out
+    as (lambda - p + 1)*(lambda + 1)**(p-1) and a_k = path_poly_a(k)."""
+    def complete(k):
+        return IntPolynomial((1 - k, 1)) * IntPolynomial((1, 1)).pow(k - 1)
+
+    if p == 1:
+        return path_poly_a(q + 1)
+    if q == 0:
+        return complete(p)
+    return path_poly_a(q) * complete(p) - path_poly_a(q - 1) * complete(p - 1)

@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kitespec import bounds
 from kitespec.bounds import (
     _poly_div_exact,
     CERT_MARGIN,
+    LEMMA41_P_MAX,
     RADIUS_TOL,
     InequalityCheck,
     clique_lower_bound_spectral,
@@ -69,6 +71,24 @@ class TestSturm:
     def test_largest_root_with_repeated_factors(self):
         # complete graph K5: (x - 4)(x + 1)^4
         assert largest_root(charpoly(make_complete(5))) == pytest.approx(4.0, abs=1e-10)
+
+    @pytest.mark.parametrize("poly,chains", [
+        (X**2 - 2, 1),
+        (charpoly(make_path(6)), 1),
+        # K5: (x - 4)(x + 1)^4, so the chain is rebuilt for (x - 4)(x + 1)
+        (charpoly(make_complete(5)), 2),
+    ])
+    def test_chains_built(self, monkeypatch, poly, chains):
+        built = []
+        original = bounds.sturm_chain
+
+        def counting(f):
+            built.append(f)
+            return original(f)
+
+        monkeypatch.setattr(bounds, "sturm_chain", counting)
+        largest_root(poly)
+        assert len(built) == chains
 
     def test_squarefree_part(self):
         p = (X - 1) ** 3 * (X + 2)
@@ -188,6 +208,17 @@ class TestInequalityVerification:
         d = c.to_json()
         assert Fraction(d["lhs_squared"]) == c.lhs_squared
         assert d["holds"] is True
+
+    def test_holds_is_the_fraction_comparison(self):
+        checks = verify_lemma41_inequality(50)
+        assert len(checks) == 8924
+        for c in checks:
+            assert c.holds == (c.lhs_squared < c.rhs_squared)
+
+    def test_pmax_capped(self):
+        assert LEMMA41_P_MAX == 100
+        with pytest.raises(ValueError, match="capped"):
+            verify_lemma41_inequality(LEMMA41_P_MAX + 1)
 
     def test_rejects_tiny_pmax(self):
         with pytest.raises(ValueError):

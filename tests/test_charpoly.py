@@ -35,7 +35,12 @@ from kitespec.graph import (
 )
 from kitespec.polynomial import IntPolynomial, X, lagrange_integer
 
-from conftest import coefficient_edge_count, coefficient_triangle_count, random_graph
+from conftest import (
+    coefficient_edge_count,
+    coefficient_triangle_count,
+    kite_charpoly_product,
+    random_graph,
+)
 
 
 def leibniz_det(m):
@@ -145,6 +150,37 @@ class TestRouteEquivalence:
             n = rng.randint(1, 5)
             m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
             assert bareiss_det(m) == leibniz_det(m)
+
+
+class TestKiteRecurrence:
+    def test_matches_berkowitz(self):
+        for p in range(1, 25):
+            for q in range(0, 25 - p):
+                assert kite_charpoly(p, q) == charpoly(make_kite(p=p, q=q)), (p, q)
+
+    def test_matches_product_formula(self):
+        # the whole census range p + q <= 30
+        for p in range(1, 31):
+            for q in range(0, 31 - p):
+                assert kite_charpoly(p, q) == kite_charpoly_product(p, q), (p, q)
+
+
+class TestBerkowitzVsSympy:
+    @staticmethod
+    def sympy_charpoly(g):
+        sympy = pytest.importorskip("sympy")
+        poly = sympy.Matrix(g.adjacency_matrix()).charpoly(sympy.Symbol("x"))
+        return IntPolynomial(tuple(int(c) for c in reversed(poly.all_coeffs())))
+
+    def test_random_graphs(self, rng):
+        for _ in range(120):
+            g = random_graph(rng, rng.randint(1, 14), rng.choice([0.2, 0.5, 0.8]))
+            assert charpoly(g) == self.sympy_charpoly(g)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 14])
+    def test_families(self, n):
+        for g in (make_complete(n), from_edges(n, []), make_star(n - 1)):
+            assert charpoly(g) == self.sympy_charpoly(g)
 
 
 class TestClosedForms:

@@ -186,6 +186,47 @@ class TestCensusAndVerify:
         assert payload["violations"] == []
 
 
+    def test_lemma41_check_csv(self, capsys):
+        # one row per (p, q, r); the text is the one pinned before the rows
+        # were built lazily
+        code, out, _ = run(capsys, "--format", "csv", "lemma41-check", "--max-p", "9")
+        assert code == EXIT_OK
+        assert out == LEMMA41_CSV_P9
+
+    def test_lemma41_check_over_cap_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "--format", "json", "lemma41-check", "--max-p", "101")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "capped" in err
+
+
+LEMMA41_CSV_P9 = "\r\n".join([
+    "p,q,r,lhs_squared,rhs_squared,holds",
+    "5,1,2,11,256036/15625,True",
+    "6,1,2,16,1181569/46656,True",
+    "6,1,3,64/3,1181569/46656,True",
+    "7,1,2,22,4268356/117649,True",
+    "7,1,3,88/3,4268356/117649,True",
+    "7,1,4,33,4268356/117649,True",
+    "7,2,2,23,4268356/117649,True",
+    "8,1,2,29,12909649/262144,True",
+    "8,1,3,116/3,12909649/262144,True",
+    "8,1,4,87/2,12909649/262144,True",
+    "8,1,5,232/5,12909649/262144,True",
+    "8,2,2,30,12909649/262144,True",
+    "8,2,3,40,12909649/262144,True",
+    "9,1,2,37,34128964/531441,True",
+    "9,1,3,148/3,34128964/531441,True",
+    "9,1,4,111/2,34128964/531441,True",
+    "9,1,5,296/5,34128964/531441,True",
+    "9,1,6,185/3,34128964/531441,True",
+    "9,2,2,38,34128964/531441,True",
+    "9,2,3,152/3,34128964/531441,True",
+    "9,2,4,57,34128964/531441,True",
+    "9,3,2,39,34128964/531441,True",
+]) + "\r\n"
+
+
 class TestBoundsCommand:
     def test_sandwich(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "bounds", "--p", "5", "--q", "3")
