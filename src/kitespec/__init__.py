@@ -32,8 +32,6 @@ from .charpoly import (
     charpoly_pendant_recursive,
     closed_form_complete,
     closed_form_gc,
-    closed_form_kite1,
-    closed_form_kite2,
     kite_charpoly,
     kite_u_identity_check,
     path_poly_a,

@@ -3,7 +3,9 @@
 The eigensolver is a plain cyclic Jacobi rotation scheme (symmetric input,
 unconditional convergence).  The spectral radius is additionally certified by
 Sturm-sequence bisection on the exact characteristic polynomial, so the
-headline quantity never depends on floating point alone.
+headline quantity never depends on floating point alone.  The Sturm chain is
+built from integer pseudo-remainders and signs are taken at dyadic points by
+integer Horner, so root isolation never leaves the integers.
 """
 
 from __future__ import annotations
@@ -82,33 +84,31 @@ def eigenvalues(g: Graph, tol: float = 1e-12) -> Spectrum:
 # -- Sturm sequences ---------------------------------------------------------
 
 
-def _primitive(coeffs: list[Fraction]) -> IntPolynomial:
-    """Scale a rational polynomial by a positive constant to a primitive
-    integer polynomial (sign preserved)."""
-    denom = math.lcm(*(c.denominator for c in coeffs)) if coeffs else 1
-    ints = [int(c * denom) for c in coeffs]
-    g = math.gcd(*ints) if any(ints) else 1
-    return IntPolynomial(tuple(c // g for c in ints))
+def _primitive(coeffs: list[int]) -> IntPolynomial:
+    """Divide an integer polynomial by the gcd of its coefficients, a
+    positive constant, so the sign is preserved."""
+    g = math.gcd(*coeffs) or 1
+    return IntPolynomial(tuple(c // g for c in coeffs))
 
 
 def sturm_chain(poly: IntPolynomial) -> list[IntPolynomial]:
-    """Sturm chain of ``poly``; each remainder is reduced to its primitive
-    part (positive scaling keeps the sign-variation counts intact)."""
+    """Sturm chain of ``poly`` by integer pseudo-remainders.  Each division
+    step scales the dividend by |lead(g)| > 0, and each remainder is reduced
+    to its primitive part, so every element is a positive multiple of the
+    rational remainder and the sign-variation counts are intact."""
     chain = [poly, poly.derivative()]
     while not chain[-1].is_zero() and chain[-1].degree > 0:
         f, g = chain[-2], chain[-1]
-        rem = [Fraction(c) for c in f.coeffs]
+        rem = list(f.coeffs)
         gc = g.coeffs
-        glead = Fraction(gc[-1])
-        while len(rem) >= len(gc) and any(rem):
-            if rem[-1] == 0:
-                rem.pop()
-                continue
-            factor = rem[-1] / glead
-            shift = len(rem) - len(gc)
-            for k, c in enumerate(gc):
-                rem[shift + k] -= factor * c
-            rem.pop()
+        scale, sign = abs(gc[-1]), 1 if gc[-1] > 0 else -1
+        while len(rem) >= len(gc):
+            lead = rem.pop() * sign
+            if lead:
+                shift = len(rem) - len(gc) + 1
+                rem = [c * scale for c in rem]
+                for k, c in enumerate(gc[:-1]):
+                    rem[shift + k] -= lead * c
         while rem and rem[-1] == 0:
             rem.pop()
         if not rem:
@@ -118,28 +118,21 @@ def sturm_chain(poly: IntPolynomial) -> list[IntPolynomial]:
 
 
 def _poly_div_exact(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
-    """Quotient f/g where g divides f over the rationals; returned primitive.
-    Raises ArithmeticError if g does not divide f."""
-    rem = [Fraction(c) for c in f.coeffs]
-    quo = [Fraction(0)] * (f.degree - g.degree + 1)
-    glead = Fraction(g.coeffs[-1])
+    """Quotient f/g by integer long division, returned primitive.  For a
+    primitive g that divides f the quotient is integral (Gauss's lemma).
+    An inexact step leaves its non-zero residue in a coefficient that no
+    later step touches, so one remainder check catches it: raises
+    ArithmeticError unless g divides f over the integers."""
+    rem = list(f.coeffs)
+    quo = [0] * (f.degree - g.degree + 1)
+    glead = g.coeffs[-1]
     for k in range(f.degree - g.degree, -1, -1):
-        factor = rem[k + g.degree] / glead
-        quo[k] = factor
+        quo[k] = factor = rem[k + g.degree] // glead
         for i, c in enumerate(g.coeffs):
             rem[k + i] -= factor * c
     if any(rem):
         raise ArithmeticError(f"{g.coeffs} does not divide {f.coeffs}")
     return _primitive(quo)
-
-
-def squarefree_part(poly: IntPolynomial) -> IntPolynomial:
-    """poly / gcd(poly, poly'): same distinct roots, all simple."""
-    chain = sturm_chain(poly)
-    gcd = chain[-1]
-    if gcd.is_zero() or gcd.degree == 0:
-        return poly
-    return _poly_div_exact(poly, gcd)
 
 
 def _sign_at_dyadic(poly: IntPolynomial, num: int, k: int) -> int:
@@ -168,8 +161,10 @@ def largest_root(poly: IntPolynomial, tol: float = RADIUS_TOL) -> float:
     chain = sturm_chain(poly)
     gcd = chain[-1]
     if gcd.degree > 0:
-        # repeated roots: bisect on the squarefree part poly / gcd(poly, poly')
-        poly = _poly_div_exact(poly, gcd)
+        # repeated roots: bisect on the squarefree part poly / gcd(poly, poly').
+        # The last element may be the derivative itself, which need not be
+        # primitive, so divide by its primitive part.
+        poly = _poly_div_exact(poly, _primitive(list(gcd.coeffs)))
         chain = sturm_chain(poly)
     n = poly.degree
     bound = n + max((abs(c) for c in poly.coeffs[:-1]), default=0)

@@ -10,7 +10,9 @@ Three algorithmically independent routes are provided:
   lambda*I - A at n+1 integer points, Lagrange-interpolated back.
 
 Kites need no graph at all: :func:`kite_charpoly` applies the same pendant
-rule along the path, starting from the binomial closed form of P(K_p).
+rule along the path, starting from the binomial closed form of P(K_p).  It is
+the one owner of that recurrence: the path polynomials (Kite_{1,n-1} = P_n)
+and the two-pendant closed form :func:`closed_form_gc` are read off it.
 
 All results are monic integer polynomials; cospectrality is decided only on
 these exact coefficient vectors, never on floating-point spectra.
@@ -23,7 +25,7 @@ from math import comb
 from operator import mul
 
 from .graph import Graph
-from .polynomial import IntPolynomial, ONE, X, lagrange_integer
+from .polynomial import IntPolynomial, ONE, lagrange_integer
 
 
 def charpoly(g: Graph) -> IntPolynomial:
@@ -132,27 +134,20 @@ def closed_form_complete(p: int) -> IntPolynomial:
     return IntPolynomial(tuple(b[k] + (1 - p) * b[k + 1] for k in range(p + 1)))
 
 
-def _kite1_cubic(p: int) -> IntPolynomial:
-    # lambda^3 - (p-2) lambda^2 - p lambda + (p-2)
-    return IntPolynomial((p - 2, -p, -(p - 2), 1))
-
-
-def closed_form_kite1(p: int) -> IntPolynomial:
-    """(lambda+1)**(p-2) * [lambda^3 - (p-2)lambda^2 - p*lambda + (p-2)],
-    the short-kite polynomial."""
-    if p < 2:
-        raise ValueError("p >= 2 required")
-    return IntPolynomial((1, 1)).pow(p - 2) * _kite1_cubic(p)
-
-
-def closed_form_kite2(p: int) -> IntPolynomial:
-    """(lambda^2 - 1)*P(K_p) - lambda*P(K_{p-1})."""
-    if p < 2:
-        raise ValueError("p >= 2 required")
-    return (
-        IntPolynomial((-1, 0, 1)) * closed_form_complete(p)
-        - closed_form_complete(p - 1).shift(1)
-    )
+def kite_charpoly(p: int, q: int) -> IntPolynomial:
+    """Kite polynomial by pendant deletion along the path:
+    P(Kite_{p,k}) = lambda*P(Kite_{p,k-1}) - P(Kite_{p,k-2}), starting from
+    Kite_{p,0} = K_p and Kite_{p,-1} = K_{p-1}."""
+    if p < 1 or q < 0:
+        raise ValueError("p >= 1 and q >= 0 required")
+    prev = list(closed_form_complete(p - 1).coeffs) if p > 1 else [1]
+    cur = list(closed_form_complete(p).coeffs)
+    for _ in range(q):
+        nxt = [0] + cur
+        for k, c in enumerate(prev):
+            nxt[k] -= c
+        prev, cur = cur, nxt
+    return IntPolynomial(tuple(cur))
 
 
 def closed_form_gc(p: int) -> IntPolynomial:
@@ -165,20 +160,16 @@ def closed_form_gc(p: int) -> IntPolynomial:
     """
     if p < 3:
         raise ValueError("p >= 3 required")
-    return closed_form_kite1(p).shift(1) - closed_form_kite1(p - 1)
+    return kite_charpoly(p, 1).shift(1) - kite_charpoly(p - 1, 1)
 
 
 def path_poly_a(n: int) -> IntPolynomial:
     """n-th solution of a_n = lambda*a_{n-1} - a_{n-2} with a_0 = 1,
-    a_1 = lambda; equals the path polynomial P(P_n) for n >= 1."""
+    a_1 = lambda; equals the path polynomial P(P_n) for n >= 1, which is
+    the kite Kite_{1,n-1}."""
     if n < 0:
         raise ValueError("n >= 0 required")
-    prev, cur = ONE, X
-    if n == 0:
-        return prev
-    for _ in range(n - 1):
-        prev, cur = cur, cur.shift(1) - prev
-    return cur
+    return kite_charpoly(1, n - 1) if n else ONE
 
 
 # -- u-substitution identity ------------------------------------------------
@@ -253,22 +244,6 @@ def walk_count(g: Graph, i: int) -> int:
 
 
 def _matmul(a, b):
-    n = len(a)
     bt = list(zip(*b))
     return [[_dot(row, col) for col in bt] for row in a]
 
-
-def kite_charpoly(p: int, q: int) -> IntPolynomial:
-    """Kite polynomial by pendant deletion along the path:
-    P(Kite_{p,k}) = lambda*P(Kite_{p,k-1}) - P(Kite_{p,k-2}), starting from
-    Kite_{p,0} = K_p and Kite_{p,-1} = K_{p-1}."""
-    if p < 1 or q < 0:
-        raise ValueError("p >= 1 and q >= 0 required")
-    prev = list(closed_form_complete(p - 1).coeffs) if p > 1 else [1]
-    cur = list(closed_form_complete(p).coeffs)
-    for _ in range(q):
-        nxt = [0] + cur
-        for k, c in enumerate(prev):
-            nxt[k] -= c
-        prev, cur = cur, nxt
-    return IntPolynomial(tuple(cur))

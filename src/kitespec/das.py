@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import comb
 
 from .charpoly import charpoly, kite_charpoly, walk_count
@@ -45,23 +45,7 @@ class SearchReport:
     claim: str = "exhaustive"
 
     def to_json(self) -> dict:
-        return {
-            "target": self.target,
-            "target_params": (
-                {"p": self.target_params.p, "q": self.target_params.q}
-                if self.target_params
-                else None
-            ),
-            "n": self.n,
-            "m": self.m,
-            "t": self.t,
-            "space_description": self.space_description,
-            "classes_scanned": self.classes_scanned,
-            "prefilter_survivors": self.prefilter_survivors,
-            "mates": list(self.mates),
-            "verdict": self.verdict,
-            "claim": self.claim,
-        }
+        return asdict(self)
 
 
 def _scan_partition(args) -> tuple[int, int, list[str]]:
@@ -70,14 +54,14 @@ def _scan_partition(args) -> tuple[int, int, list[str]]:
     Returns (classes_scanned, prefilter_survivors, mate graph6 strings).
     Top-level so it pickles for process pools.
     """
-    target_g6, n, m, connected_only, part, total = args
+    target_g6, n, m, part, total = args
     from .graph import decode_graph6
 
     target = decode_graph6(target_g6)
     target_poly = charpoly(target)
     target_key = canonical_form(target)
     target_t = triangle_count(target)
-    constraints = EnumConstraints(n=n, edges=m, connected_only=connected_only)
+    constraints = EnumConstraints(n=n, edges=m)
     partition = (part, total) if total > 1 else None
     scanned = survivors = 0
     mates = []
@@ -96,16 +80,15 @@ def _scan_partition(args) -> tuple[int, int, list[str]]:
 
 def find_cospectral_mates(
     target: Graph,
-    connected_only: bool = False,
     *,
     target_params: KiteParams | None = None,
     workers: int = 1,
     claim: str = "exhaustive",
 ) -> SearchReport:
     """Exhaustive cospectral-mate search over all isomorphism classes with
-    the target's vertex and edge counts (disconnected graphs included unless
-    ``connected_only``).  The space is split into one partition per worker,
-    at most one per CPU; the merged report does not depend on the split."""
+    the target's vertex and edge counts, disconnected graphs included.  The
+    space is split into one partition per worker, at most one per CPU; the
+    merged report does not depend on the split."""
     n, m = target.n, target.edge_count()
     report = SearchReport(
         target=encode_graph6(target),
@@ -113,14 +96,11 @@ def find_cospectral_mates(
         n=n,
         m=m,
         t=triangle_count(target),
-        space_description=(
-            f"all {'connected ' if connected_only else ''}graphs on {n} vertices "
-            f"with {m} edges, one per isomorphism class"
-        ),
+        space_description=f"all graphs on {n} vertices with {m} edges, one per isomorphism class",
         claim=claim,
     )
     total = max(1, min(workers, os.cpu_count() or 1))
-    jobs = [(report.target, n, m, connected_only, k, total) for k in range(total)]
+    jobs = [(report.target, n, m, k, total) for k in range(total)]
     if total == 1:
         results = [_scan_partition(jobs[0])]
     else:
@@ -196,9 +176,7 @@ def verify_theorem42(p: int, workers: int = 1) -> SearchReport:
     if not 3 <= p <= 7:
         raise ValueError("desk-scale range is 3 <= p <= 7")
     target = make_kite(p=p, q=2)
-    report = find_cospectral_mates(
-        target, connected_only=False, target_params=KiteParams(p, 2), workers=workers
-    )
+    report = find_cospectral_mates(target, target_params=KiteParams(p, 2), workers=workers)
     if report.m != (p * p - p + 4) // 2 or report.t != comb(p, 3):
         raise SearchInvariantError(
             f"Kite_{{{p},2}} has m={report.m}, t={report.t}; expected "
@@ -216,7 +194,6 @@ def conjecture43_evidence(p: int, q: int, workers: int = 1) -> SearchReport:
     target = make_kite(p=p, q=q)
     return find_cospectral_mates(
         target,
-        connected_only=False,
         target_params=KiteParams(p, q),
         workers=workers,
         claim="evidence",

@@ -127,16 +127,14 @@ class KiteParams:
             raise GraphError(f"kite needs q >= 0, got {self.q}")
 
 
-def make_kite(params: KiteParams | None = None, p: int | None = None, q: int | None = None) -> Graph:
+def make_kite(p: int, q: int) -> Graph:
     """Kite graph: K_p on vertices 0..p-1, path appended at vertex p-1, the
     path occupying vertices p..p+q-1.
 
     Degenerate conventions: a zero-length path gives K_p, and p in {1, 2}
     gives the path graphs P_{q+1} and P_{q+2}.
     """
-    if params is None:
-        params = KiteParams(p, q)
-    p, q = params.p, params.q
+    KiteParams(p, q)  # validates p >= 1, q >= 0
     edges = list(itertools.combinations(range(p), 2))
     for k in range(q):
         edges.append((p - 1 + k, p + k))
@@ -163,6 +161,8 @@ def make_cycle(n: int) -> Graph:
 
 def make_star(leaves: int) -> Graph:
     """K_{1,leaves}: hub is vertex 0."""
+    if leaves < 0:
+        raise GraphError("star needs leaves >= 0")
     return from_edges(leaves + 1, [(0, k) for k in range(1, leaves + 1)])
 
 
@@ -358,7 +358,7 @@ def parse_graph_spec(raw: str) -> tuple[Graph, KiteParams | None]:
         if head == "kite":
             p, q = ints(2)
             params = KiteParams(p, q)
-            return make_kite(params), params
+            return make_kite(p, q), params
         if head == "path":
             return make_path(ints(1)[0]), None
         if head == "complete":

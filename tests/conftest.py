@@ -3,7 +3,6 @@ import random
 import pytest
 
 from kitespec.bounds import Spectrum
-from kitespec.charpoly import path_poly_a
 from kitespec.enumeration import CanonicalKey, canonical_form
 from kitespec.graph import Graph, from_edges, is_connected
 from kitespec.polynomial import IntPolynomial
@@ -73,12 +72,19 @@ def coefficient_triangle_count(poly: IntPolynomial) -> int:
 
 def kite_charpoly_product(p: int, q: int) -> IntPolynomial:
     """Oracle: a_q*P(K_p) - a_{q-1}*P(K_{p-1}), with P(K_p) multiplied out
-    as (lambda - p + 1)*(lambda + 1)**(p-1) and a_k = path_poly_a(k)."""
+    as (lambda - p + 1)*(lambda + 1)**(p-1) and a_k from its own recurrence,
+    so it shares no code with ``kite_charpoly``."""
     def complete(k):
         return IntPolynomial((1 - k, 1)) * IntPolynomial((1, 1)).pow(k - 1)
 
+    def a(k):  # a_k = lambda*a_{k-1} - a_{k-2}, a_0 = 1, a_1 = lambda
+        prev, cur = IntPolynomial((1,)), IntPolynomial((0, 1))
+        for _ in range(k):
+            prev, cur = cur, cur.shift(1) - prev
+        return prev
+
     if p == 1:
-        return path_poly_a(q + 1)
+        return a(q + 1)
     if q == 0:
         return complete(p)
-    return path_poly_a(q) * complete(p) - path_poly_a(q - 1) * complete(p - 1)
+    return a(q) * complete(p) - a(q - 1) * complete(p - 1)

@@ -28,8 +28,7 @@ from kitespec.charpoly import (
     charpoly_pendant_recursive,
     closed_form_complete,
     closed_form_gc,
-    closed_form_kite1,
-    closed_form_kite2,
+    kite_charpoly,
     kite_u_identity_check,
     walk_count,
 )
@@ -111,8 +110,8 @@ def test_criterion_02_closed_forms():
     start = time.monotonic()
     ok = all(
         closed_form_complete(p) == charpoly(make_complete(p))
-        and closed_form_kite1(p) == charpoly(make_kite(p=p, q=1))
-        and closed_form_kite2(p) == charpoly(make_kite(p=p, q=2))
+        and kite_charpoly(p, 1) == charpoly(make_kite(p=p, q=1))
+        and kite_charpoly(p, 2) == charpoly(make_kite(p=p, q=2))
         for p in range(2, 13)
     )
     ok = ok and all(closed_form_gc(p) == charpoly(make_gc(p)) for p in range(4, 13))

@@ -19,7 +19,6 @@ from kitespec.bounds import (
     largest_root,
     nikiforov_bound,
     spectral_radius,
-    squarefree_part,
     sturm_chain,
     sturm_count_above,
     verify_lemma41_inequality,
@@ -90,17 +89,58 @@ class TestSturm:
         largest_root(poly)
         assert len(built) == chains
 
-    def test_squarefree_part(self):
-        p = (X - 1) ** 3 * (X + 2)
-        sf = squarefree_part(p)
-        assert sf.degree == 2
-        assert sf(1) == 0 and sf(-2) == 0
+    @pytest.mark.parametrize("poly,root", [
+        ((X - 1) ** 2, 1.0),
+        # gcd(x^4, 4x^3) is the derivative itself, not primitive
+        (X**4, 0.0),
+        ((X**2 - 2) ** 2 * (X + 3), math.sqrt(2)),
+        ((X - 1) ** 3 * (X + 2), 1.0),
+    ])
+    def test_largest_root_non_primitive_gcd(self, poly, root):
+        assert largest_root(poly) == pytest.approx(root, abs=1e-10)
+
+    def test_chain_matches_sympy(self, rng):
+        # sympy.sturm works on the squarefree part over QQ, so compare it with
+        # the chain of the primitive squarefree part; for repeated roots the
+        # last element of the full chain must be gcd(P, P') up to a constant.
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+
+        def to_sympy(f):
+            return sympy.Poly(list(reversed(f.coeffs)), x, domain="QQ")
+
+        def from_sympy(f):
+            coeffs = f.clear_denoms(convert=True)[1].primitive()[1].all_coeffs()
+            return IntPolynomial(tuple(int(c) for c in reversed(coeffs)))
+
+        def positive_multiple(f, ref):
+            if f.degree != ref.degree() or f.coeffs[-1] * ref.LC() <= 0:
+                return False
+            return to_sympy(f) * ref.LC() == ref * f.coeffs[-1]
+
+        polys = [charpoly(random_graph(rng, rng.randint(1, 14), rng.choice([0.2, 0.5, 0.8])))
+                 for _ in range(100)]
+        polys += [charpoly(make_kite(p=p, q=q)) for p in range(3, 9) for q in range(0, 4)]
+        polys += [charpoly(make_complete(n)) for n in range(1, 10)]
+        # chains that skip a degree, where a division takes 1 or 3 steps
+        polys += [X**4 + X + 2, X**4 + X**2 + 1, X**5 + 2 * X**2 + 3, X**6 - 3 * X**2 + 3]
+        for poly in polys:
+            ref = sympy.sturm(to_sympy(poly))
+            sqf = from_sympy(sympy.sqf_part(to_sympy(poly)))
+            chain = sturm_chain(sqf)
+            assert len(chain) == len(ref), poly
+            assert all(positive_multiple(f, g) for f, g in zip(chain, ref)), poly
+            gcd = sympy.gcd(to_sympy(poly), to_sympy(poly.derivative()))
+            last = sturm_chain(poly)[-1]
+            assert to_sympy(last) * gcd.LC() == gcd * last.coeffs[-1], poly
 
     def test_inexact_division_raises(self):
         # an explicit check, so it holds under python -O as well
         assert _poly_div_exact((X - 1) * (X + 2), X - 1) == X + 2
         with pytest.raises(ArithmeticError):
             _poly_div_exact(X**2 + 1, X - 1)
+        with pytest.raises(ArithmeticError):  # inexact first step: 1 = 0*2 + 1
+            _poly_div_exact(X**2 - 1, 2 * X + 2)
 
     def test_count_above(self):
         chain = sturm_chain(X**2 - 2)

@@ -14,8 +14,6 @@ from kitespec.charpoly import (
     charpoly_pendant_recursive,
     closed_form_complete,
     closed_form_gc,
-    closed_form_kite1,
-    closed_form_kite2,
     kite_charpoly,
     kite_u_closed_form,
     kite_u_identity_check,
@@ -187,14 +185,6 @@ class TestClosedForms:
     @pytest.mark.parametrize("p", range(1, 13))
     def test_complete(self, p):
         assert closed_form_complete(p) == charpoly(make_complete(p))
-
-    @pytest.mark.parametrize("p", range(2, 13))
-    def test_kite1(self, p):
-        assert closed_form_kite1(p) == charpoly(make_kite(p=p, q=1))
-
-    @pytest.mark.parametrize("p", range(2, 13))
-    def test_kite2(self, p):
-        assert closed_form_kite2(p) == charpoly(make_kite(p=p, q=2))
 
     @pytest.mark.parametrize("p", range(3, 13))
     def test_gc(self, p):

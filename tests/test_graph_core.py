@@ -42,7 +42,7 @@ def brute_force_clique(g: Graph) -> int:
 
 class TestKiteConstruction:
     def test_kite_3_0_is_triangle(self):
-        g = make_kite(KiteParams(3, 0))
+        g = make_kite(3, 0)
         assert (g.n, g.edge_count()) == (3, 3)
         assert g == make_complete(3)
 
@@ -96,6 +96,12 @@ class TestFamilies:
         assert clique_number(g) == 4
         # pendants on two distinct clique vertices
         assert sorted(g.degree(v) for v in range(6)) == [1, 1, 3, 3, 4, 4]
+
+    def test_star(self):
+        assert make_star(0) == make_path(1)
+        assert make_star(3).degree_sequence() == [3, 1, 1, 1]
+        with pytest.raises(GraphError):
+            make_star(-1)
 
     def test_path_identity_case(self):
         g = make_path(1)
