@@ -29,7 +29,6 @@ from .charpoly import (
     are_cospectral,
     charpoly,
     charpoly_interpolated,
-    charpoly_pendant_recursive,
     closed_form_complete,
     closed_form_gc,
     kite_charpoly,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .charpoly import charpoly
 from .graph import Graph
@@ -155,9 +156,9 @@ def sturm_count_above(chain: list[IntPolynomial], num: int, k: int) -> int:
     return at_x - at_inf
 
 
-def largest_root(poly: IntPolynomial, tol: float = RADIUS_TOL) -> float:
-    """Largest real root by Sturm-count bisection over dyadic rationals.
-    Assumes at least one real root (always true for adjacency polynomials)."""
+def largest_root(poly: IntPolynomial) -> float:
+    """Largest real root, to within RADIUS_TOL, by Sturm-count bisection over
+    dyadic rationals.  Assumes a real root (true for adjacency polynomials)."""
     chain = sturm_chain(poly)
     gcd = chain[-1]
     if gcd.degree > 0:
@@ -173,7 +174,7 @@ def largest_root(poly: IntPolynomial, tol: float = RADIUS_TOL) -> float:
     if sturm_count_above(chain, lo, 0) == 0:
         raise ValueError("polynomial has no real root")
     # bisect: keep >= 1 root in (lo/2^k, hi/2^k]
-    steps = max(1, math.ceil(math.log2(max(2 * (bound + 1) / tol, 2))))
+    steps = max(1, math.ceil(math.log2(max(2 * (bound + 1) / RADIUS_TOL, 2))))
     for _ in range(steps):
         k += 1
         lo <<= 1
@@ -193,7 +194,7 @@ def spectral_radius(g: Graph) -> float:
         raise ValueError("spectral radius of the empty graph is undefined")
     if g.edge_count() == 0:
         return 0.0
-    return largest_root(charpoly(g), RADIUS_TOL)
+    return largest_root(charpoly(g))
 
 
 # -- paper bounds -------------------------------------------------------------
@@ -204,8 +205,11 @@ def kite_radius_bounds(p: int) -> RadiusBounds:
     p-1 + 1/p^2 + 1/p^3 < rho < p-1 + 1/(4p) + 1/(p^2 - 2p)."""
     if p < 3:
         raise ValueError("bounds require p >= 3")
-    lower = p - 1 + 1.0 / p**2 + 1.0 / p**3
-    upper = p - 1 + 1.0 / (4 * p) + 1.0 / (p * p - 2 * p)
+    try:
+        lower = p - 1 + 1.0 / p**2 + 1.0 / p**3
+        upper = p - 1 + 1.0 / (4 * p) + 1.0 / (p * p - 2 * p)
+    except OverflowError:
+        raise ValueError("p is too large for float bounds") from None
     return RadiusBounds(lower, upper, p)
 
 
@@ -238,8 +242,7 @@ def kite_clique_bound(p: int, q: int) -> int:
     return p - 2 * q + 1
 
 
-@dataclass(frozen=True)
-class InequalityCheck:
+class InequalityCheck(NamedTuple):
     p: int
     q: int
     r: int
@@ -248,14 +251,7 @@ class InequalityCheck:
     holds: bool
 
     def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "q": self.q,
-            "r": self.r,
-            "lhs_squared": str(self.lhs_squared),
-            "rhs_squared": str(self.rhs_squared),
-            "holds": self.holds,
-        }
+        return {k: str(v) if isinstance(v, Fraction) else v for k, v in self._asdict().items()}
 
 
 def verify_lemma41_inequality(p_max: int) -> list[InequalityCheck]:

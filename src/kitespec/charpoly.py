@@ -1,16 +1,15 @@
 """Exact characteristic polynomials and cospectrality decisions.
 
-Three algorithmically independent routes are provided:
+Two algorithmically independent routes are provided:
 
 * :func:`charpoly` -- division-free Berkowitz method (the default), run over
   neighbour lists instead of the adjacency matrix,
-* :func:`charpoly_pendant_recursive` -- repeated pendant deletion via
-  P(G) = lambda*P(G - x1) - P(G - x1 - x2) for a pendant x1 with neighbor x2,
 * :func:`charpoly_interpolated` -- fraction-free (Bareiss) determinants of
   lambda*I - A at n+1 integer points, Lagrange-interpolated back.
 
-Kites need no graph at all: :func:`kite_charpoly` applies the same pendant
-rule along the path, starting from the binomial closed form of P(K_p).  It is
+Kites need no graph at all: :func:`kite_charpoly` applies the pendant rule
+P(G) = lambda*P(G - x1) - P(G - x1 - x2), for a pendant x1 with neighbour x2,
+along the path, starting from the binomial closed form of P(K_p).  It is
 the one owner of that recurrence: the path polynomials (Kite_{1,n-1} = P_n)
 and the two-pendant closed form :func:`closed_form_gc` are read off it.
 
@@ -57,30 +56,6 @@ def charpoly(g: Graph) -> IntPolynomial:
             below[j].append(i)
         below[i] = nbrs
     return IntPolynomial(tuple(reversed(vec)))
-
-
-def _dot(x, y):
-    return sum(a * b for a, b in zip(x, y))
-
-
-def _find_pendant(g: Graph) -> int | None:
-    for v in range(g.n - 1, -1, -1):
-        if g.rows[v].bit_count() == 1:
-            return v
-    return None
-
-
-def charpoly_pendant_recursive(g: Graph) -> IntPolynomial:
-    """Strip pendant vertices (highest index first) with the deletion rule
-    P(G) = lambda*P(G1) - P(G2); fall back to :func:`charpoly` once no
-    pendant remains."""
-    x1 = _find_pendant(g)
-    if x1 is None:
-        return charpoly(g)
-    x2 = g.rows[x1].bit_length() - 1
-    g1 = g.subgraph_without(x1)
-    g2 = g.subgraph_without({x1, x2})
-    return charpoly_pendant_recursive(g1).shift(1) - charpoly_pendant_recursive(g2)
 
 
 def bareiss_det(matrix: list[list[int]]) -> int:
@@ -245,5 +220,5 @@ def walk_count(g: Graph, i: int) -> int:
 
 def _matmul(a, b):
     bt = list(zip(*b))
-    return [[_dot(row, col) for col in bt] for row in a]
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 

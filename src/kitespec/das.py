@@ -18,7 +18,9 @@ from dataclasses import asdict, dataclass, field
 from math import comb
 
 from .charpoly import charpoly, kite_charpoly, walk_count
-from .graph import Graph, KiteParams, encode_graph6, make_gb, make_gc, make_kite, triangle_count
+from .graph import (
+    Graph, KiteParams, decode_graph6, encode_graph6, make_gb, make_gc, make_kite, triangle_count,
+)
 from .enumeration import EnumConstraints, canonical_form, enumerate_graphs
 
 VERDICT_DAS = "DAS-confirmed-at-scale"
@@ -55,8 +57,6 @@ def _scan_partition(args) -> tuple[int, int, list[str]]:
     Top-level so it pickles for process pools.
     """
     target_g6, n, m, part, total = args
-    from .graph import decode_graph6
-
     target = decode_graph6(target_g6)
     target_poly = charpoly(target)
     target_key = canonical_form(target)
@@ -119,8 +119,6 @@ def find_cospectral_mates(
 
 
 def _assert_mate_invariants(target: Graph, mate_g6: str) -> None:
-    from .graph import decode_graph6
-
     mate = decode_graph6(mate_g6)
     checks = [
         ("vertex count", mate.n == target.n),

@@ -48,12 +48,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import comb
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .graph import Graph, decode_graph6, encode_graph6, is_connected, triangle_count
+from .graph import Graph, _bits, decode_graph6, encode_graph6, is_connected, triangle_count
 
 FULL_ENUM_CAP = 9
 CONSTRAINED_ENUM_CAP = 11
@@ -71,9 +71,6 @@ class CorruptCacheError(RuntimeError):
 class CanonicalKey:
     n: int
     bits: int
-
-    def __lt__(self, other: "CanonicalKey") -> bool:
-        return (self.n, self.bits) < (other.n, other.bits)
 
 
 @dataclass(frozen=True)
@@ -96,11 +93,7 @@ class EnumConstraints:
             )
 
     def key(self) -> str:
-        blob = json.dumps(
-            {"n": self.n, "edges": self.edges, "connected_only": self.connected_only,
-             "triangles": self.triangles},
-            sort_keys=True,
-        )
+        blob = json.dumps(asdict(self), sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -142,11 +135,7 @@ def _refinement_cells(g: Graph) -> list[list[int]]:
 
 def _images(mask: int, gens: list[list[int]]) -> list[int]:
     """The vertex bitmask ``mask`` moved by each permutation in ``gens``."""
-    bits = []
-    while mask:
-        low = mask & -mask
-        bits.append(low.bit_length() - 1)
-        mask ^= low
+    bits = _bits(mask)
     images = []
     for img in gens:
         image = 0
@@ -365,8 +354,7 @@ def enumerate_graphs(
                 yield child, child_gens
 
     def accepted(g: Graph) -> bool:
-        if target_edges is not None and g.edge_count() != target_edges:
-            return False
+        # the edge window closes to the target on the last level
         if target_tri is not None and triangle_count(g) != target_tri:
             return False
         if constraints.connected_only and not is_connected(g):
@@ -422,16 +410,7 @@ def cache_store(cache_dir: str | Path, constraints: EnumConstraints, graphs: Ite
     lines = [encode_graph6(g) for g in graphs]
     payload = base / f"{constraints.key()}.g6"
     _write_atomic(payload, "".join(line + "\n" for line in lines))
-    manifest = {
-        "n": constraints.n,
-        "constraints": {
-            "edges": constraints.edges,
-            "connected_only": constraints.connected_only,
-            "triangles": constraints.triangles,
-        },
-        "count": len(lines),
-        "checksum": _checksum(lines),
-    }
+    manifest = {"constraints": asdict(constraints), "count": len(lines), "checksum": _checksum(lines)}
     _write_atomic(base / f"{constraints.key()}.json", json.dumps(manifest, indent=1))
     return payload
 

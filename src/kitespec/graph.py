@@ -29,10 +29,7 @@ class Graph:
     rows: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 0:
-            raise GraphError(f"negative vertex count {self.n}")
-        if self.n > HARD_CAP:
-            raise GraphError(f"vertex count {self.n} exceeds hard cap {HARD_CAP}")
+        _check_order(self.n)
         if len(self.rows) != self.n:
             raise GraphError("row count does not match n")
         mask = (1 << self.n) - 1
@@ -48,12 +45,6 @@ class Graph:
 
     # -- basic queries -------------------------------------------------
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool(self.rows[i] >> j & 1)
-
-    def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
-
     def degree_sequence(self) -> list[int]:
         return sorted((r.bit_count() for r in self.rows), reverse=True)
 
@@ -66,30 +57,6 @@ class Graph:
     def adjacency_matrix(self) -> list[list[int]]:
         return [[self.rows[i] >> j & 1 for j in range(self.n)] for i in range(self.n)]
 
-    def subgraph_without(self, removed: int | set[int]) -> "Graph":
-        """Induced subgraph on the vertices outside ``removed``; survivors keep
-        their relative order."""
-        gone = {removed} if isinstance(removed, int) else set(removed)
-        keep = [v for v in range(self.n) if v not in gone]
-        pos = {v: k for k, v in enumerate(keep)}
-        rows = [0] * len(keep)
-        for v in keep:
-            for u in _bits(self.rows[v]):
-                if u in pos:
-                    rows[pos[v]] |= 1 << pos[u]
-        return Graph(len(keep), tuple(rows))
-
-    def relabel(self, perm: list[int] | tuple[int, ...]) -> "Graph":
-        """New graph where new vertex ``k`` is old vertex ``perm[k]``."""
-        inv = [0] * self.n
-        for k, v in enumerate(perm):
-            inv[v] = k
-        rows = [0] * self.n
-        for k, v in enumerate(perm):
-            for u in _bits(self.rows[v]):
-                rows[k] |= 1 << inv[u]
-        return Graph(self.n, tuple(rows))
-
 
 def _bits(mask: int) -> list[int]:
     out = []
@@ -100,7 +67,17 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
+def _check_order(n: int) -> None:
+    if n < 0:
+        raise GraphError(f"negative vertex count {n}")
+    if n > HARD_CAP:
+        raise GraphError(f"vertex count {n} exceeds hard cap {HARD_CAP}")
+
+
 def from_edges(n: int, edges) -> Graph:
+    """Graph on n vertices from (i, j) pairs, which are read only once n is
+    known to be within HARD_CAP."""
+    _check_order(n)
     rows = [0] * n
     for i, j in edges:
         if i == j:
@@ -111,6 +88,12 @@ def from_edges(n: int, edges) -> Graph:
 
 
 # -- named families ------------------------------------------------------
+
+
+def _clique_edges(k: int):
+    """Edges of K_k on 0..k-1, generated lazily: ``itertools.combinations``
+    would first copy all k vertices, even for a k far past the cap."""
+    return ((i, j) for j in range(k) for i in range(j))
 
 
 @dataclass(frozen=True)
@@ -135,35 +118,33 @@ def make_kite(p: int, q: int) -> Graph:
     gives the path graphs P_{q+1} and P_{q+2}.
     """
     KiteParams(p, q)  # validates p >= 1, q >= 0
-    edges = list(itertools.combinations(range(p), 2))
-    for k in range(q):
-        edges.append((p - 1 + k, p + k))
-    return from_edges(p + q, edges)
+    path = ((p - 1 + k, p + k) for k in range(q))
+    return from_edges(p + q, itertools.chain(_clique_edges(p), path))
 
 
 def make_path(n: int) -> Graph:
     if n < 0:
         raise GraphError("path needs n >= 0")
-    return from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    return from_edges(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def make_complete(n: int) -> Graph:
     if n < 0:
         raise GraphError("complete graph needs n >= 0")
-    return from_edges(n, itertools.combinations(range(n), 2))
+    return from_edges(n, _clique_edges(n))
 
 
 def make_cycle(n: int) -> Graph:
     if n < 3:
         raise GraphError("cycle needs n >= 3")
-    return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return from_edges(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def make_star(leaves: int) -> Graph:
     """K_{1,leaves}: hub is vertex 0."""
     if leaves < 0:
         raise GraphError("star needs leaves >= 0")
-    return from_edges(leaves + 1, [(0, k) for k in range(1, leaves + 1)])
+    return from_edges(leaves + 1, ((0, k) for k in range(1, leaves + 1)))
 
 
 def make_knm(n: int, m: int) -> Graph:
@@ -174,10 +155,8 @@ def make_knm(n: int, m: int) -> Graph:
     """
     if not 0 <= m < n:
         raise GraphError(f"knm needs 0 <= m < n, got n={n}, m={m}")
-    edges = list(itertools.combinations(range(n - m), 2))
-    for k in range(m):
-        edges.append((0, n - m + k))
-    return from_edges(n, edges)
+    pendants = ((0, n - m + k) for k in range(m))
+    return from_edges(n, itertools.chain(_clique_edges(n - m), pendants))
 
 
 def make_gb(p: int) -> Graph:
@@ -194,9 +173,8 @@ def make_gc(p: int) -> Graph:
     """
     if p < 3:
         raise GraphError("gc needs p >= 3")
-    edges = list(itertools.combinations(range(p), 2))
-    edges += [(0, p), (1, p + 1)]
-    return from_edges(p + 2, edges)
+    pendants = [(0, p), (1, p + 1)]
+    return from_edges(p + 2, itertools.chain(_clique_edges(p), pendants))
 
 
 # -- structural invariants ------------------------------------------------
@@ -328,6 +306,13 @@ class SpecParseError(GraphError):
         super().__init__(f"{message} (at position {pos} in {raw!r})")
 
 
+# family name -> (constructor, number of integer arguments)
+_FAMILIES = {
+    "kite": (make_kite, 2), "path": (make_path, 1), "complete": (make_complete, 1),
+    "knm": (make_knm, 2), "gb": (make_gb, 1), "gc": (make_gc, 1),
+}
+
+
 def parse_graph_spec(raw: str) -> tuple[Graph, KiteParams | None]:
     """Parse the shared descriptor grammar:
 
@@ -354,26 +339,15 @@ def parse_graph_spec(raw: str) -> tuple[Graph, KiteParams | None]:
             pos += len(part) + 1
         return vals
 
+    if head == "g6":
+        make, args = decode_graph6, [tail]
+    elif head in _FAMILIES:
+        make, arity = _FAMILIES[head]
+        args = ints(arity)
+    else:
+        raise SpecParseError(raw, 0, f"unknown family {head!r}")
     try:
-        if head == "kite":
-            p, q = ints(2)
-            params = KiteParams(p, q)
-            return make_kite(p, q), params
-        if head == "path":
-            return make_path(ints(1)[0]), None
-        if head == "complete":
-            return make_complete(ints(1)[0]), None
-        if head == "knm":
-            n, m = ints(2)
-            return make_knm(n, m), None
-        if head == "gb":
-            return make_gb(ints(1)[0]), None
-        if head == "gc":
-            return make_gc(ints(1)[0]), None
-        if head == "g6":
-            return decode_graph6(tail), None
-    except SpecParseError:
-        raise
+        g = make(*args)
     except GraphError as exc:
         raise SpecParseError(raw, argpos, str(exc)) from None
-    raise SpecParseError(raw, 0, f"unknown family {head!r}")
+    return g, KiteParams(*args) if head == "kite" else None

@@ -39,10 +39,7 @@ class IntPolynomial:
         return IntPolynomial(tuple(self[k] + other[k] for k in range(n)))
 
     def __sub__(self, other) -> "IntPolynomial":
-        if isinstance(other, int):
-            other = IntPolynomial((other,))
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPolynomial(tuple(self[k] - other[k] for k in range(n)))
+        return self + -other
 
     def __neg__(self) -> "IntPolynomial":
         return IntPolynomial(tuple(-c for c in self.coeffs))
@@ -90,10 +87,6 @@ class IntPolynomial:
 
     def to_json(self) -> list[str]:
         return [str(c) for c in self.coeffs]
-
-    @classmethod
-    def from_json(cls, strings) -> "IntPolynomial":
-        return cls(tuple(int(s) for s in strings))
 
     def pretty(self, var: str = "λ") -> str:
         """Human-readable form, highest power first."""

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from kitespec.bounds import Spectrum
+from kitespec.charpoly import charpoly
 from kitespec.enumeration import CanonicalKey, canonical_form
 from kitespec.graph import Graph, from_edges, is_connected
 from kitespec.polynomial import IntPolynomial
@@ -88,3 +89,31 @@ def kite_charpoly_product(p: int, q: int) -> IntPolynomial:
     if q == 0:
         return complete(p)
     return a(q) * complete(p) - a(q - 1) * complete(p - 1)
+
+
+# -- graph helpers and the pendant-deletion route, called only by tests ------
+
+
+def relabel(g: Graph, perm) -> Graph:
+    """New graph where new vertex ``k`` is old vertex ``perm[k]``."""
+    new = {v: k for k, v in enumerate(perm)}
+    return from_edges(g.n, ((new[i], new[j]) for i, j in g.edges()))
+
+
+def subgraph_without(g: Graph, removed: set[int]) -> Graph:
+    """Induced subgraph on the vertices outside ``removed``, in their order."""
+    pos = {v: k for k, v in enumerate(v for v in range(g.n) if v not in removed)}
+    return from_edges(len(pos), ((pos[i], pos[j]) for i, j in g.edges() if i in pos and j in pos))
+
+
+def charpoly_pendant_recursive(g: Graph) -> IntPolynomial:
+    """Oracle: strip pendant vertices (highest index first) with the deletion
+    rule P(G) = lambda*P(G - x1) - P(G - x1 - x2), where x2 is the neighbour
+    of the pendant x1; Berkowitz once no pendant remains."""
+    x1 = next((v for v in range(g.n - 1, -1, -1) if g.rows[v].bit_count() == 1), None)
+    if x1 is None:
+        return charpoly(g)
+    x2 = g.rows[x1].bit_length() - 1
+    g1 = subgraph_without(g, {x1})
+    g2 = subgraph_without(g, {x1, x2})
+    return charpoly_pendant_recursive(g1).shift(1) - charpoly_pendant_recursive(g2)

@@ -25,7 +25,6 @@ from kitespec.charpoly import (
     are_cospectral,
     charpoly,
     charpoly_interpolated,
-    charpoly_pendant_recursive,
     closed_form_complete,
     closed_form_gc,
     kite_charpoly,
@@ -56,7 +55,7 @@ from kitespec.graph import (
     triangle_count,
 )
 
-from conftest import brute_force_classes
+from conftest import brute_force_classes, charpoly_pendant_recursive
 
 RADIUS_MARGIN = 1e-9
 RADIUS_TOL = 1e-10

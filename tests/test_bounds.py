@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -248,6 +249,11 @@ class TestInequalityVerification:
         d = c.to_json()
         assert Fraction(d["lhs_squared"]) == c.lhs_squared
         assert d["holds"] is True
+        # field order, and plain JSON types only (fractions as strings)
+        assert json.loads(json.dumps(d)) == d == {
+            "p": 5, "q": 1, "r": 2, "lhs_squared": "11", "rhs_squared": "256036/15625", "holds": True,
+        }
+        assert list(d) == ["p", "q", "r", "lhs_squared", "rhs_squared", "holds"]
 
     def test_holds_is_the_fraction_comparison(self):
         checks = verify_lemma41_inequality(50)

@@ -11,7 +11,6 @@ from kitespec.charpoly import (
     bareiss_det,
     charpoly,
     charpoly_interpolated,
-    charpoly_pendant_recursive,
     closed_form_complete,
     closed_form_gc,
     kite_charpoly,
@@ -34,6 +33,7 @@ from kitespec.graph import (
 from kitespec.polynomial import IntPolynomial, X, lagrange_integer
 
 from conftest import (
+    charpoly_pendant_recursive,
     coefficient_edge_count,
     coefficient_triangle_count,
     kite_charpoly_product,
@@ -70,7 +70,7 @@ def charpoly_by_leibniz(g):
     pts = []
     for x in range(g.n + 1):
         m = [
-            [(x if i == j else 0) - (1 if g.has_edge(i, j) else 0) for j in range(g.n)]
+            [(x if i == j else 0) - (g.rows[i] >> j & 1) for j in range(g.n)]
             for i in range(g.n)
         ]
         pts.append((x, leibniz_det(m)))
@@ -90,10 +90,6 @@ class TestPolynomialType:
     def test_horner_exact_on_fractions(self):
         p = X**3 - IntPolynomial((4,)) * X
         assert p(Fraction(1, 2)) == Fraction(-15, 8)
-
-    def test_json_round_trip(self):
-        p = X**5 - IntPolynomial((10**40,))
-        assert IntPolynomial.from_json(p.to_json()) == p
 
     def test_pretty(self):
         p = X**4 - IntPolynomial((0, 2, 4)) - IntPolynomial((-1,))

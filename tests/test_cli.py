@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -239,6 +240,12 @@ class TestBoundsCommand:
         code, _, err = run(capsys, "bounds", "--p", "2")
         assert code == EXIT_USAGE
 
+    def test_p_beyond_float_range_is_usage_error(self, capsys):
+        # 1/p**3 has no float value here; p = 10**100 still prints its bounds
+        code, out, err = run(capsys, "bounds", "--p", str(10**200))
+        assert code == EXIT_USAGE
+        assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+
     def test_q_below_one_is_usage_error(self, capsys):
         # the sandwich is claimed for q >= 1 only
         code, out, err = run(capsys, "bounds", "--p", "5", "--q", "0")
@@ -296,3 +303,68 @@ class TestUsageContract:
 
     def test_bad_format(self, capsys):
         assert main(["--format", "yaml", "charpoly", "path:3"]) == EXIT_USAGE
+
+
+GOOD_SPECS = ["kite:3,1", "kite:5,3", "kite:2,2", "knm:6,2", "gb:4", "gc:4", "g6:DEo", "path:1"]
+BAD_SPECS = [
+    "kite:0,1", "kite:3", "kite:a,1", "kite:3,-1", "cycle:5", "nocolon", "g6:~",
+    "path:25", "complete:-1", "gc:2", "knm:3,3", "kite:30,3",
+]
+FORMATS = ["json", "text", "csv"]
+GOLDEN_ARGVS = (
+    [["--format", f, cmd, spec] for cmd in ("charpoly", "spectrum", "invariants")
+     for spec in GOOD_SPECS for f in FORMATS]
+    + [[cmd, spec] for cmd in ("charpoly", "invariants") for spec in BAD_SPECS]
+    + [["--format", f, "cospectral", a, b] for a, b in [("g6:DEo", "g6:Ds_"), ("kite:4,2", "gc:4")]
+       for f in FORMATS]
+    + [["--format", f, *args] for f in FORMATS for args in [
+        ["kite-census", "--max-n", "8"],
+        ["das-verify", "--p", "4", "--q", "2"],
+        ["bounds", "--p", "5"],
+        ["bounds", "--p", "5", "--q", "3"],
+        ["enumerate", "--n", "4"],
+        ["lemma41-check", "--max-p", "9"],
+    ]]
+    + [
+        ["kite-census", "--max-n", "31"],
+        ["--format", "json", "das-verify", "--p", "3", "--q", "3"],
+        ["das-verify", "--p", "3", "--q", "1"],
+        ["das-verify", "--p", "8", "--q", "2"],
+        ["das-verify", "--p", "5", "--q", "5"],
+        ["bounds", "--p", "2"],
+        ["bounds", "--p", "5", "--q", "0"],
+        ["bounds", "--p", "6", "--q", "30"],
+        ["--format", "json", "bounds", "--p", str(10**100)],
+        ["bounds", "--p", str(10**100)],
+        ["--format", "json", "enumerate", "--n", "5", "--connected"],
+        ["--format", "json", "enumerate", "--n", "5", "--edges", "4"],
+        ["enumerate", "--n", "10"],
+        ["enumerate", "--n", "4", "--edges", "7"],
+        ["lemma41-check", "--max-p", "101"],
+        ["lemma41-check", "--max-p", "2"],
+        [],
+        ["frobnicate"],
+        ["--format", "yaml", "charpoly", "path:3"],
+        ["--tol", "0.5", "spectrum", "kite:4,2"],
+        ["--tol", "0", "spectrum", "path:3"],
+        ["--tol", "1e-300", "spectrum", "complete:5"],
+        ["--tol", "1e-8", "--format", "json", "spectrum", "complete:3"],
+        ["--workers", "0", "das-verify", "--p", "3", "--q", "2"],
+        ["--workers", "x", "das-verify", "--p", "3", "--q", "2"],
+        ["spectrum"],
+    ]
+)
+GOLDEN_SHA256 = "ef0291d3b614b0bd798a27ef6851237f721526a072fd3629ec48a33abf7d4b2d"
+
+
+def test_golden_outputs(capsys, monkeypatch):
+    """Exit code and stdout of every command in every format, bad specs and
+    usage errors included, pinned by one hash (stderr is left out: argparse
+    wording differs between Python versions)."""
+    monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+    digest = hashlib.sha256()
+    for argv in GOLDEN_ARGVS:
+        code, out, _ = run(capsys, *argv)
+        digest.update(json.dumps([argv, code, out]).encode() + b"\n")
+    assert len(GOLDEN_ARGVS) > 100
+    assert digest.hexdigest() == GOLDEN_SHA256

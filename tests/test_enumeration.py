@@ -33,7 +33,7 @@ from kitespec.graph import (
     triangle_count,
 )
 
-from conftest import brute_force_classes, random_graph
+from conftest import brute_force_classes, random_graph, relabel
 
 # isomorphism-class counts for simple graphs on n vertices (all / connected)
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
@@ -91,7 +91,7 @@ class TestCanonicalForm:
             g = random_graph(rng, n)
             perm = list(range(n))
             rng.shuffle(perm)
-            assert canonical_form(g) == canonical_form(g.relabel(perm))
+            assert canonical_form(g) == canonical_form(relabel(g, perm))
 
     def test_distinguishes_nonisomorphic(self):
         assert canonical_form(make_path(4)) != canonical_form(make_cycle(4))
@@ -122,15 +122,11 @@ class TestCanonicalForm:
             g = from_edges(n, h.edges())
             gens = enumeration._canonical_search(g)[2]
             for img in gens:
-                assert g.relabel(img) == g
+                assert relabel(g, img) == g
             expected = sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter())
             assert group_order(gens, n) == expected, encode_graph6(g)
             checked += 1
         assert checked == sum(ALL_COUNTS[n] for n in range(1, 7))
-
-    def test_ordering(self):
-        assert CanonicalKey(3, 1) < CanonicalKey(4, 0)
-        assert CanonicalKey(3, 1) < CanonicalKey(3, 2)
 
     @pytest.mark.parametrize(
         "g, bits",

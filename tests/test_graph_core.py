@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from math import comb
 
 import pytest
@@ -35,7 +36,7 @@ def brute_force_clique(g: Graph) -> int:
     best = 0
     for size in range(g.n, 0, -1):
         for sub in itertools.combinations(range(g.n), size):
-            if all(g.has_edge(i, j) for i, j in itertools.combinations(sub, 2)):
+            if all(g.rows[i] >> j & 1 for i, j in itertools.combinations(sub, 2)):
                 return size
     return best
 
@@ -54,7 +55,7 @@ class TestKiteConstruction:
         g = make_kite(p=3, q=1)
         assert g.edge_count() == 4
         assert triangle_count(g) == 1
-        assert sorted(g.degree(v) for v in range(4)) == [1, 2, 2, 3]
+        assert sorted(r.bit_count() for r in g.rows) == [1, 2, 2, 3]
 
     def test_degenerate_conventions(self):
         assert make_kite(p=1, q=3) == make_path(4)
@@ -83,7 +84,7 @@ class TestFamilies:
         g = make_knm(6, 2)
         assert (g.n, g.edge_count()) == (6, 8)
         assert clique_number(g) == 4
-        assert sorted(g.degree(v) for v in range(6)) == [1, 1, 3, 3, 3, 5]
+        assert sorted(r.bit_count() for r in g.rows) == [1, 1, 3, 3, 3, 5]
         with pytest.raises(GraphError):
             make_knm(4, 4)
 
@@ -95,7 +96,7 @@ class TestFamilies:
         assert (g.n, g.edge_count()) == (6, 8)
         assert clique_number(g) == 4
         # pendants on two distinct clique vertices
-        assert sorted(g.degree(v) for v in range(6)) == [1, 1, 3, 3, 4, 4]
+        assert sorted(r.bit_count() for r in g.rows) == [1, 1, 3, 3, 4, 4]
 
     def test_star(self):
         assert make_star(0) == make_path(1)
@@ -199,6 +200,12 @@ class TestSpecGrammar:
         assert ei.value.pos >= 0
 
 
+OVER_CAP_FAMILIES = [
+    (make_kite, (1000, 3)), (make_path, (1000,)), (make_complete, (1000,)), (make_cycle, (1000,)),
+    (make_star, (1000,)), (make_knm, (1000, 2)), (make_gb, (1000,)), (make_gc, (1000,)),
+]
+
+
 class TestGraphValidation:
     def test_rejects_asymmetry(self):
         with pytest.raises(GraphError):
@@ -212,12 +219,25 @@ class TestGraphValidation:
         with pytest.raises(GraphError):
             make_path(25)
 
-    def test_relabel_roundtrip(self, rng):
-        for _ in range(50):
-            g = random_graph(rng, 6)
-            perm = list(range(6))
-            rng.shuffle(perm)
-            h = g.relabel(perm)
-            assert sorted(h.degree_sequence()) == sorted(g.degree_sequence())
-            inv = [perm.index(k) for k in range(6)]
-            assert h.relabel(inv) == g
+    def test_over_cap_reads_no_edge(self):
+        # the order is checked before a single edge is read
+        edges = iter([(0, 1)])
+        with pytest.raises(GraphError, match="vertex count 25 exceeds hard cap 24"):
+            from_edges(25, edges)
+        assert next(edges) == (0, 1)
+
+    @pytest.mark.parametrize(
+        "make, args", OVER_CAP_FAMILIES, ids=[make.__name__ for make, _ in OVER_CAP_FAMILIES]
+    )
+    def test_over_cap_family_allocates_nothing(self, make, args):
+        # families hand their edges over lazily, so an order past the cap is
+        # rejected before any edge list or row bitmask exists
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphError, match="exceeds hard cap"):
+                make(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16_000
+
