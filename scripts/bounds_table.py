@@ -21,13 +21,13 @@ def main() -> None:
     args = ap.parse_args()
 
     for p in range(3, args.max_p + 1):
-        b = kite_radius_bounds(p)
-        print(f"p = {p}:  {b.lower:.10f} < rho < {b.upper:.10f}")
+        lower, upper = kite_radius_bounds(p)
+        print(f"p = {p}:  {lower:.10f} < rho < {upper:.10f}")
         for q in range(1, args.max_q + 1):
             if p + q + 1 > 24:
                 break
             rho = spectral_radius(make_kite(p=p, q=q))
-            margin = min(rho - b.lower, b.upper - rho)
+            margin = min(rho - lower, upper - rho)
             print(f"    q = {q:>2}: rho = {rho:.10f}   (margin {margin:.3e})")
 
 

@@ -11,7 +11,6 @@ integer Horner, so root isolation never leaves the integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -27,21 +26,6 @@ LEMMA41_P_MAX = 100
 
 class ConvergenceError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """All adjacency eigenvalues, sorted descending, plus the tolerance used."""
-
-    values: tuple[float, ...]
-    tol: float
-
-
-@dataclass(frozen=True)
-class RadiusBounds:
-    lower: float
-    upper: float
-    p: int
 
 
 def jacobi_eigenvalues(matrix: list[list[float]], tol: float = 1e-12) -> list[float]:
@@ -73,13 +57,11 @@ def jacobi_eigenvalues(matrix: list[list[float]], tol: float = 1e-12) -> list[fl
     raise ConvergenceError(f"Jacobi did not converge in {JACOBI_SWEEP_CAP} sweeps")
 
 
-def eigenvalues(g: Graph, tol: float = 1e-12) -> Spectrum:
+def eigenvalues(g: Graph, tol: float = 1e-12) -> list[float]:
+    """All adjacency eigenvalues, sorted descending."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if g.n == 0:
-        return Spectrum((), tol)
-    vals = jacobi_eigenvalues(g.adjacency_matrix(), tol)
-    return Spectrum(tuple(vals), tol)
+    return jacobi_eigenvalues(g.adjacency_matrix(), tol)
 
 
 # -- Sturm sequences ---------------------------------------------------------
@@ -200,17 +182,21 @@ def spectral_radius(g: Graph) -> float:
 # -- paper bounds -------------------------------------------------------------
 
 
-def kite_radius_bounds(p: int) -> RadiusBounds:
-    """Sandwich for the kite spectral radius, valid for p >= 3 and any q >= 1:
-    p-1 + 1/p^2 + 1/p^3 < rho < p-1 + 1/(4p) + 1/(p^2 - 2p)."""
+def kite_radius_bounds(p: int) -> tuple[float, float]:
+    """Sandwich (lower, upper) for the kite spectral radius, valid for p >= 3
+    and any q >= 1: p-1 + 1/p^2 + 1/p^3 < rho < p-1 + 1/(4p) + 1/(p^2 - 2p).
+    Raises ValueError once p is so large that the float bounds no longer
+    separate (from p = 2**26) or overflow."""
     if p < 3:
         raise ValueError("bounds require p >= 3")
     try:
         lower = p - 1 + 1.0 / p**2 + 1.0 / p**3
         upper = p - 1 + 1.0 / (4 * p) + 1.0 / (p * p - 2 * p)
     except OverflowError:
-        raise ValueError("p is too large for float bounds") from None
-    return RadiusBounds(lower, upper, p)
+        lower = upper = math.nan
+    if not lower < upper:
+        raise ValueError("p is too large for float bounds")
+    return lower, upper
 
 
 def nikiforov_bound(m: int, r: int) -> float:

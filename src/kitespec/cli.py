@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -22,7 +23,6 @@ from . import das
 from .charpoly import are_cospectral, charpoly
 from .enumeration import EnumConstraints, cache_store, enumerate_graphs
 from .graph import (
-    GraphError,
     clique_number,
     encode_graph6,
     is_connected,
@@ -36,10 +36,6 @@ CACHE_DIR_ENV = "KITESPEC_CACHE_DIR"
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_THEOREM_CONTRADICTED = 2
-
-
-class CliError(Exception):
-    pass
 
 
 def _emit_csv(rows) -> str:
@@ -79,11 +75,10 @@ def cmd_charpoly(args) -> int:
 
 def cmd_spectrum(args) -> int:
     g, _ = parse_graph_spec(args.spec)
-    spec = bounds_mod.eigenvalues(g, args.tol)
-    vals = [round(v, 12) for v in spec.values]
+    vals = [round(v, 12) for v in bounds_mod.eigenvalues(g, args.tol)]
     _print(
         args,
-        json_payload={"spec": args.spec, "eigenvalues": vals, "tol": spec.tol},
+        json_payload={"spec": args.spec, "eigenvalues": vals, "tol": args.tol},
         csv_rows=[{"index": k, "eigenvalue": v} for k, v in enumerate(vals)],
         text=" ".join(f"{v:.6f}" for v in vals),
     )
@@ -117,9 +112,9 @@ def cmd_invariants(args) -> int:
         "spectral_radius": round(bounds_mod.spectral_radius(g), 10) if g.n else None,
     }
     if kp is not None and kp.p >= 3:
-        rb = bounds_mod.kite_radius_bounds(kp.p)
-        info["radius_lower_bound"] = rb.lower
-        info["radius_upper_bound"] = rb.upper
+        lower, upper = bounds_mod.kite_radius_bounds(kp.p)
+        info["radius_lower_bound"] = lower
+        info["radius_upper_bound"] = upper
         if kp.q >= 1:
             info["clique_lower_bound"] = bounds_mod.kite_clique_bound(kp.p, kp.q)
     text = "\n".join(f"{k}: {v}" for k, v in info.items())
@@ -157,15 +152,12 @@ def cmd_kite_census(args) -> int:
 
 def cmd_das_verify(args) -> int:
     p, q = args.p, args.q
-    try:
-        if q == 2:
-            report = das.verify_theorem42(p, workers=args.workers)
-        elif q > 2:
-            report = das.conjecture43_evidence(p, q, workers=args.workers)
-        else:
-            raise CliError("das-verify needs q >= 2")
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    if q == 2:
+        report = das.verify_theorem42(p, workers=args.workers)
+    elif q > 2:
+        report = das.conjecture43_evidence(p, q, workers=args.workers)
+    else:
+        raise ValueError("das-verify needs q >= 2")
     payload = report.to_json()
     text = (
         f"Kite_{{{p},{q}}}: scanned {report.classes_scanned} classes "
@@ -182,15 +174,15 @@ def cmd_das_verify(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    rb = bounds_mod.kite_radius_bounds(args.p)
-    payload = {"p": args.p, "lower": rb.lower, "upper": rb.upper}
-    text = f"{rb.lower:.9f} < rho(Kite_{{{args.p},q}}) < {rb.upper:.9f}"
+    lower, upper = bounds_mod.kite_radius_bounds(args.p)
+    payload = {"p": args.p, "lower": lower, "upper": upper}
+    text = f"{lower:.9f} < rho(Kite_{{{args.p},q}}) < {upper:.9f}"
     holds = True
     if args.q is not None:
         if args.q < 1:
-            raise CliError("the radius sandwich needs q >= 1")
+            raise ValueError("the radius sandwich needs q >= 1")
         rho = bounds_mod.spectral_radius(make_kite(p=args.p, q=args.q))
-        holds = rb.lower < rho < rb.upper
+        holds = lower < rho < upper
         payload.update(q=args.q, spectral_radius=rho, sandwich_holds=holds)
         text += f"; rho(Kite_{{{args.p},{args.q}}}) = {rho:.10f} ({'ok' if holds else 'VIOLATED'})"
     _print(
@@ -269,7 +261,10 @@ def _tolerance(raw: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: ``parse_args`` keeps no state between
+    calls, so ``main`` reuses it instead of paying for it on every call."""
     parser = argparse.ArgumentParser(
         prog="kitespec",
         description="Exact spectral toolkit for kite graphs: polynomials, "
@@ -334,7 +329,7 @@ def main(argv: list[str] | None = None) -> int:
     args.cache_dir = args.cache_dir or os.environ.get(CACHE_DIR_ENV)
     try:
         return args.func(args)
-    except (CliError, GraphError, ValueError, bounds_mod.ConvergenceError) as exc:
+    except (ValueError, bounds_mod.ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

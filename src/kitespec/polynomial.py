@@ -18,7 +18,9 @@ class IntPolynomial:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        c = tuple(int(x) for x in self.coeffs)
+        c = tuple(self.coeffs)
+        if not all(type(x) is int for x in c):
+            raise TypeError(f"coefficients must be int, got {c!r}")
         while len(c) > 1 and c[-1] == 0:
             c = c[:-1]
         if not c:

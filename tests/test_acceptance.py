@@ -180,10 +180,10 @@ def test_criterion_06_radius_sandwich():
     ok = True
     checked = 0
     for p in range(3, 13):
-        b = kite_radius_bounds(p)
+        lower, upper = kite_radius_bounds(p)
         for q in range(1, 11):
             rho = spectral_radius(make_kite(p=p, q=q))
-            ok = ok and (rho - b.lower > RADIUS_MARGIN) and (b.upper - rho > RADIUS_MARGIN)
+            ok = ok and (rho - lower > RADIUS_MARGIN) and (upper - rho > RADIUS_MARGIN)
             checked += 1
     elapsed = time.monotonic() - start
     report(

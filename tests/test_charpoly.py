@@ -99,6 +99,11 @@ class TestPolynomialType:
         pts = [(x, x**3 - 7 * x + 2) for x in range(5)]
         assert lagrange_integer(pts).coeffs == (2, -7, 0, 1)
 
+    @pytest.mark.parametrize("bad", [1.9, Fraction(1, 2), "7"], ids=["float", "Fraction", "str"])
+    def test_rejects_non_int_coefficients(self, bad):
+        with pytest.raises(TypeError):
+            IntPolynomial((bad, 1))
+
 
 class TestKnownPolynomials:
     def test_triangle(self):

@@ -241,10 +241,17 @@ class TestBoundsCommand:
         assert code == EXIT_USAGE
 
     def test_p_beyond_float_range_is_usage_error(self, capsys):
-        # 1/p**3 has no float value here; p = 10**100 still prints its bounds
+        # 1/p**3 has no float value here
         code, out, err = run(capsys, "bounds", "--p", str(10**200))
         assert code == EXIT_USAGE
         assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_collapsed_float_sandwich_is_usage_error(self, capsys):
+        # from p = 2**26 the float lower and upper bounds are equal
+        code, out, _ = run(capsys, "bounds", "--p", str(2**26))
+        assert code == EXIT_USAGE and out == ""
+        code, out, _ = run(capsys, "bounds", "--p", str(2**26 - 1))
+        assert code == EXIT_OK and out
 
     def test_q_below_one_is_usage_error(self, capsys):
         # the sandwich is claimed for q >= 1 only
@@ -354,7 +361,7 @@ GOLDEN_ARGVS = (
         ["spectrum"],
     ]
 )
-GOLDEN_SHA256 = "ef0291d3b614b0bd798a27ef6851237f721526a072fd3629ec48a33abf7d4b2d"
+GOLDEN_SHA256 = "27a1ddb0fbc5a2a4b5807826509f2e342e80096e979a2bb1f9d44a6a75019875"
 
 
 def test_golden_outputs(capsys, monkeypatch):

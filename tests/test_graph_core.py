@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 import tracemalloc
@@ -6,6 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kitespec
 from kitespec.graph import (
     Graph,
     Graph6Error,
@@ -241,3 +243,9 @@ class TestGraphValidation:
             tracemalloc.stop()
         assert peak < 16_000
 
+
+def test_package_attributes_are_the_submodules():
+    # a name re-exported by the package would shadow the submodule of that name
+    for name in ["graph", "polynomial", "charpoly", "bounds", "enumeration", "das", "cli"]:
+        module = importlib.import_module(f"kitespec.{name}")
+        assert getattr(kitespec, name) is module, name
