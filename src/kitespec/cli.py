@@ -111,12 +111,12 @@ def cmd_invariants(args) -> int:
         "connected": is_connected(g),
         "spectral_radius": round(bounds_mod.spectral_radius(g), 10) if g.n else None,
     }
-    if kp is not None and kp.p >= 3:
+    # the sandwich and the clique bound hold for q >= 1 only
+    if kp is not None and kp.p >= 3 and kp.q >= 1:
         lower, upper = bounds_mod.kite_radius_bounds(kp.p)
         info["radius_lower_bound"] = lower
         info["radius_upper_bound"] = upper
-        if kp.q >= 1:
-            info["clique_lower_bound"] = bounds_mod.kite_clique_bound(kp.p, kp.q)
+        info["clique_lower_bound"] = bounds_mod.kite_clique_bound(kp.p, kp.q)
     text = "\n".join(f"{k}: {v}" for k, v in info.items())
     _print(
         args,

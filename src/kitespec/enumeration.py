@@ -36,11 +36,18 @@ always its orbit's least mask.
 
 Before a child is built, its edge count must fit the edge window and the
 new vertex must have maximum degree (the last cell lies in the
-maximum-degree class); once built, the child is refined once and dropped
-unless the new vertex lies in the last cell, before any backtracking.  On
-the last level a child whose last cell is the new vertex alone passes
-canonical deletion outright and nothing uses its automorphisms, so it is
-yielded without a canonical search.
+maximum-degree class).  Both depend on the mask's popcount only, so a
+parent visits just the masks of the admissible weights, from a table of
+masks grouped by weight, merged into ascending order; an Aut(parent)-orbit
+keeps its popcount, so the least mask of each orbit and the visiting order
+are those of the full ascending scan.  Children are built from the
+parent's rows without re-validation.  A built child is refined only until
+canonical deletion is decided: the top refinement class only shrinks, so
+the child is dropped as soon as the new vertex leaves it, and on the last
+level it is yielded as soon as the new vertex is alone in it, since it is
+then last in every cell-respecting ordering and nothing uses a leaf's
+automorphisms.  Only the remaining children get full cells and a
+canonical search.
 """
 
 from __future__ import annotations
@@ -49,11 +56,15 @@ import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass
+from functools import cache
+from itertools import chain
 from math import comb
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .graph import Graph, _bits, decode_graph6, encode_graph6, is_connected, triangle_count
+from .graph import (
+    Graph, _bits, _trusted_graph, decode_graph6, encode_graph6, is_connected, triangle_count,
+)
 
 FULL_ENUM_CAP = 9
 CONSTRAINED_ENUM_CAP = 11
@@ -97,7 +108,9 @@ class EnumConstraints:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _refinement_cells(g: Graph) -> list[list[int]]:
+def _refinement_cells(
+    g: Graph, new: int | None = None, leaf: bool = False
+) -> list[list[int]] | None:
     """Vertex cells under iterated neighbor-label refinement, ordered by an
     isomorphism-invariant cell key.
 
@@ -106,13 +119,28 @@ def _refinement_cells(g: Graph) -> list[list[int]]:
     each).  Vertices sharing a label share a degree and a class, so fewer
     non-neighbours means more neighbours, and the keys sort exactly as the
     vertices' sorted tuples of neighbour labels would.
+
+    Each key starts with the previous label, so the top class only ever
+    shrinks and stays the last cell.  Given the vertex ``new``, refinement
+    therefore stops once canonical deletion of ``new`` is decided: it
+    returns None as soon as ``new`` leaves the top class and, with
+    ``leaf``, ``[[new]]`` as soon as the top class is ``new`` alone.
     """
     n = g.n
     labels = [r.bit_count() for r in g.rows]
     non_adjacent = [~r for r in g.rows]
     count = int.bit_count
     classes = sorted(set(labels))
+    stable = False
     while True:
+        if new is not None:
+            top = classes[-1]
+            if labels[new] != top:
+                return None
+            if leaf and labels.count(top) == 1:
+                return [[new]]
+        if stable:
+            break
         masks = dict.fromkeys(classes, 0)
         for v, lab in enumerate(labels):
             masks[lab] |= 1 << v
@@ -124,10 +152,9 @@ def _refinement_cells(g: Graph) -> list[list[int]]:
         order = {key: rank for rank, key in enumerate(sorted(set(keys)))}
         labels = [order[key] for key in keys]
         # stable once no class splits; a discrete partition cannot split
-        if len(order) == len(classes) or len(order) == n:
-            break
+        stable = len(order) == len(classes) or len(order) == n
         classes = range(len(order))
-    cells: list[list[int]] = [[] for _ in order]
+    cells: list[list[int]] = [[] for _ in classes]
     for v, lab in enumerate(labels):
         cells[lab].append(v)
     return cells
@@ -270,10 +297,19 @@ def canonical_graph(g: Graph) -> Graph:
             if col >> (j - 1 - i) & 1:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-    return Graph(g.n, tuple(rows))
+    return _trusted_graph(g.n, tuple(rows))
 
 
 # -- canonical augmentation ---------------------------------------------------
+
+
+@cache
+def _masks_by_weight(k: int) -> tuple[tuple[int, ...], ...]:
+    """The k-bit vertex masks grouped by popcount, each group ascending."""
+    groups: list[list[int]] = [[] for _ in range(k + 1)]
+    for mask in range(1 << k):
+        groups[mask.bit_count()].append(mask)
+    return tuple(map(tuple, groups))
 
 
 def _extend(parent: Graph, mask: int) -> Graph:
@@ -282,7 +318,7 @@ def _extend(parent: Graph, mask: int) -> Graph:
     for i in range(k):
         if mask >> i & 1:
             rows[i] |= 1 << k
-    return Graph(k + 1, tuple(rows))
+    return _trusted_graph(k + 1, tuple(rows))
 
 
 def enumerate_graphs(
@@ -319,17 +355,17 @@ def enumerate_graphs(
         top = max(degrees)
         top_mask = sum(1 << i for i, d in enumerate(degrees) if d == top)
         edges = sum(degrees) // 2
+        # the last cell, which holds the canonical-deletion vertex, lies
+        # inside the child's maximum-degree class: the new vertex needs
+        # degree top, or top + 1 when it meets a vertex of degree top
+        low, high = top, k
         if target_edges is not None:
             # the child's edge count must leave the target reachable
-            low = target_edges - (max_total - comb(k + 1, 2)) - edges
-            high = target_edges - edges
-        for mask in range(1 << k):
-            d = mask.bit_count()
-            if target_edges is not None and not low <= d <= high:
-                continue
-            # the last cell, which holds the canonical-deletion vertex,
-            # lies inside the child's maximum-degree class
-            if d < (top + 1 if mask & top_mask else top):
+            low = max(low, target_edges - (max_total - comb(k + 1, 2)) - edges)
+            high = min(high, target_edges - edges)
+        # the admissible weights only, merged into ascending mask order
+        for mask in sorted(chain.from_iterable(_masks_by_weight(k)[low : high + 1])):
+            if mask & top_mask and mask.bit_count() == top:
                 continue
             # masks in one Aut(parent)-orbit give isomorphic children, and
             # every test in this loop gives one answer on the whole orbit,
@@ -341,8 +377,8 @@ def enumerate_graphs(
             child = _extend(parent, mask)
             if target_tri is not None and triangle_count(child) > target_tri:
                 continue
-            cells = _refinement_cells(child)
-            if cells[-1][-1] != k:
+            cells = _refinement_cells(child, k, last_level)
+            if cells is None:
                 continue
             if last_level and len(cells[-1]) == 1:
                 # k is last in every cell-respecting ordering, and a leaf's

@@ -58,6 +58,17 @@ class Graph:
         return [[self.rows[i] >> j & 1 for j in range(self.n)] for i in range(self.n)]
 
 
+def _trusted_graph(n: int, rows: tuple[int, ...]) -> Graph:
+    """A Graph built without ``__post_init__``, for callers whose rows are
+    symmetric, loop-free and within 0..n-1 by construction."""
+    g = object.__new__(Graph)
+    # object.__setattr__ as the frozen __init__ does; touching g.__dict__
+    # would give every instance its own dict, 2.5 times the memory
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "rows", rows)
+    return g
+
+
 def _bits(mask: int) -> list[int]:
     out = []
     while mask:
@@ -275,24 +286,26 @@ def decode_graph6(s: str | bytes) -> Graph:
     body = s[1:]
     if len(body) != (nbits + 5) // 6:
         raise Graph6Error(f"graph6 body length {len(body)} wrong for n={n}")
-    bits = []
+    value = 0
     for ch in body:
         v = ord(ch)
         if not 63 <= v <= 126:
             raise Graph6Error(f"non-printable graph6 byte {v!r}")
-        v -= 63
-        bits.extend(v >> k & 1 for k in range(5, -1, -1))
-    if any(bits[nbits:]):
+        value = value << 6 | v - 63
+    # columns 1..n-1 of the upper triangle, most significant first, then
+    # the padding; column j holds rows 0..j-1, row 0 in its highest bit
+    shift = 6 * len(body) - nbits
+    if value & ((1 << shift) - 1):
         raise Graph6Error("nonzero padding bits")
     rows = [0] * n
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            k += 1
-    return Graph(n, tuple(rows))
+    for j in range(n - 1, 0, -1):
+        col = value >> shift & ((1 << j) - 1)
+        shift += j
+        for b in _bits(col):
+            i = j - 1 - b
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return _trusted_graph(n, tuple(rows))
 
 
 # -- descriptor grammar ----------------------------------------------------

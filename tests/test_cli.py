@@ -150,6 +150,17 @@ class TestInvariants:
         assert payload["clique_lower_bound"] == 4
         assert payload["radius_lower_bound"] < payload["spectral_radius"] < payload["radius_upper_bound"]
 
+    @pytest.mark.parametrize("spec,has_bounds", [("kite:3,0", False), ("kite:24,0", False), ("kite:3,1", True)])
+    def test_radius_bounds_only_with_a_tail(self, capsys, spec, has_bounds):
+        # kite:p,0 is K_p, where the sandwich (claimed for q >= 1) fails
+        code, out, _ = run(capsys, "--format", "json", "invariants", spec)
+        payload = json.loads(out)
+        assert code == EXIT_OK
+        bound_keys = {"radius_lower_bound", "radius_upper_bound", "clique_lower_bound"}
+        assert bound_keys & payload.keys() == (bound_keys if has_bounds else set())
+        if has_bounds:
+            assert payload["radius_lower_bound"] < payload["spectral_radius"] < payload["radius_upper_bound"]
+
     def test_plain_graph_panel(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "invariants", "path:4")
         payload = json.loads(out)

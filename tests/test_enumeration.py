@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 import time
+from collections import Counter
+from itertools import chain
 from math import comb
 
 import pytest
@@ -23,6 +25,7 @@ from kitespec.enumeration import (
 from kitespec import enumeration
 from kitespec.graph import (
     Graph,
+    decode_graph6,
     encode_graph6,
     from_edges,
     is_connected,
@@ -30,6 +33,7 @@ from kitespec.graph import (
     make_cycle,
     make_kite,
     make_path,
+    make_star,
     triangle_count,
 )
 
@@ -160,6 +164,63 @@ class TestCanonicalForm:
         assert time.perf_counter() - start < seconds
         assert sorted(cg.degree_sequence()) == sorted(g.degree_sequence())
         assert cg.edge_count() == g.edge_count()
+
+
+class TestDeletionDecision:
+    def test_early_decision_matches_full_refinement(self, rng):
+        # _refinement_cells(g, v, leaf) stops as soon as canonical deletion
+        # of v is decided; every decision must be the full refinement's
+        graphs = [
+            random_graph(rng, rng.randint(1, 11), rng.choice([0.2, 0.5, 0.8]))
+            for _ in range(300)
+        ]
+        for n in range(1, 12):
+            graphs += [make_complete(n), Graph(n, (0,) * n), make_star(n - 1)]
+            if n >= 3:
+                graphs.append(make_cycle(n))
+        decisions = Counter()
+        for g in graphs:
+            full = enumeration._refinement_cells(g)
+            for v in range(g.n):
+                for leaf in (False, True):
+                    early = enumeration._refinement_cells(g, v, leaf)
+                    if v not in full[-1]:
+                        decision, expected = "reject", None
+                    elif leaf and full[-1] == [v]:
+                        decision, expected = "lone", [[v]]
+                    else:
+                        decision, expected = "search", full
+                    assert early == expected, (encode_graph6(g), v, leaf)
+                    decisions[decision] += 1
+        assert decisions.keys() == {"reject", "lone", "search"}
+
+
+class TestTrustedBuilds:
+    """Children, decodes and canonical copies skip Graph validation; each
+    must still be a graph that validation accepts."""
+
+    def test_enumerated_graphs_are_valid(self):
+        streams = chain(
+            *(enumerate_graphs(EnumConstraints(n)) for n in range(1, 8)),
+            enumerate_graphs(EnumConstraints(8, edges=14)),
+        )
+        for g in streams:
+            assert Graph(g.n, g.rows) == g
+
+    def test_decoded_and_canonical_graphs_are_valid(self, rng):
+        for _ in range(200):
+            n = rng.randint(0, 24)
+            nbits = n * (n - 1) // 2
+            length = (nbits + 5) // 6
+            value = rng.getrandbits(nbits) << (6 * length - nbits)
+            body = "".join(chr(63 + (value >> 6 * (length - 1 - i) & 63)) for i in range(length))
+            text = chr(63 + n) + body
+            g = decode_graph6(text)
+            assert Graph(g.n, g.rows) == g
+            assert encode_graph6(g) == text
+            if n <= 11:
+                cg = canonical_graph(g)
+                assert Graph(cg.n, cg.rows) == cg
 
 
 class TestEnumeration:

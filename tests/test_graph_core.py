@@ -174,6 +174,25 @@ class TestGraph6:
         with pytest.raises(Graph6Error):
             decode_graph6(bad)
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("", "empty graph6 string"),
+            ("~abc", "multi-byte graph6 headers (n > 62) not supported"),
+            ("\x1fw", "bad graph6 header byte 31"),
+            ("Z" + "?" * 59, "graph6 order 27 exceeds hard cap 24"),
+            ("B\x07\x07", "graph6 body length 2 wrong for n=3"),
+            ("D\x07A", "non-printable graph6 byte 7"),
+            ("Bx", "nonzero padding bits"),
+            ("D?@", "nonzero padding bits"),
+        ],
+    )
+    def test_malformed_input_messages(self, bad, message):
+        # the checks run in a fixed order: header, order, length, bytes, padding
+        with pytest.raises(Graph6Error) as ei:
+            decode_graph6(bad)
+        assert str(ei.value) == message
+
 
 class TestSpecGrammar:
     @pytest.mark.parametrize(
@@ -216,6 +235,14 @@ class TestGraphValidation:
     def test_rejects_self_loop(self):
         with pytest.raises(GraphError):
             from_edges(2, [(0, 0)])
+
+    def test_rejects_self_loop_row(self):
+        with pytest.raises(GraphError, match="self-loop at vertex 1"):
+            Graph(2, (0, 2))
+
+    def test_rejects_bit_outside_order(self):
+        with pytest.raises(GraphError, match="row 0 has bits outside 0..1"):
+            Graph(2, (4, 0))
 
     def test_rejects_over_cap(self):
         with pytest.raises(GraphError):
