@@ -40,14 +40,28 @@ maximum-degree class).  Both depend on the mask's popcount only, so a
 parent visits just the masks of the admissible weights, from a table of
 masks grouped by weight, merged into ascending order; an Aut(parent)-orbit
 keeps its popcount, so the least mask of each orbit and the visiting order
-are those of the full ascending scan.  Children are built from the
-parent's rows without re-validation.  A built child is refined only until
-canonical deletion is decided: the top refinement class only shrinks, so
-the child is dropped as soon as the new vertex leaves it, and on the last
-level it is yielded as soon as the new vertex is alone in it, since it is
-then last in every cell-respecting ordering and nothing uses a leaf's
-automorphisms.  Only the remaining children get full cells and a
-canonical search.
+are those of the full ascending scan.
+
+The weights along a path from the root never decrease: a kept child's new
+vertex has weight w equal to the child's maximum degree (w is at least the
+parent's maximum, and exceeds it when the mask meets a vertex of that
+degree), adding vertices never lowers a degree, and each later vertex again
+has the maximum degree of its graph.  A child of a k-vertex parent with e
+edges therefore has only leaves with at least e + (n - k) * w edges, so
+with an edge target m the window's upper end is (m - e) // (n - k).  This
+cuts only subtrees without a leaf of m edges, and being a popcount bound it
+keeps every orbit's least mask, so the stream and its order are those of
+the unconstrained walk filtered to m edges.  A triangle target is tested on
+the mask as well: the child's triangles are the parent's plus the parent's
+edges inside the mask, and triangles, too, never disappear below a node.
+
+Children are built from the parent's rows without re-validation.  A built
+child is refined only until canonical deletion is decided: the top
+refinement class only shrinks, so the child is dropped as soon as the new
+vertex leaves it, and on the last level it is yielded as soon as the new
+vertex is alone in it, since it is then last in every cell-respecting
+ordering and nothing uses a leaf's automorphisms.  Only the remaining
+children get full cells and a canonical search.
 """
 
 from __future__ import annotations
@@ -63,7 +77,8 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .graph import (
-    Graph, _bits, _trusted_graph, decode_graph6, encode_graph6, is_connected, triangle_count,
+    Graph, _bits, _edges_within, _trusted_graph, decode_graph6, encode_graph6, is_connected,
+    triangle_count,
 )
 
 FULL_ENUM_CAP = 9
@@ -355,17 +370,22 @@ def enumerate_graphs(
         top = max(degrees)
         top_mask = sum(1 << i for i, d in enumerate(degrees) if d == top)
         edges = sum(degrees) // 2
+        triangles = triangle_count(parent) if target_tri is not None else 0
         # the last cell, which holds the canonical-deletion vertex, lies
         # inside the child's maximum-degree class: the new vertex needs
         # degree top, or top + 1 when it meets a vertex of degree top
         low, high = top, k
         if target_edges is not None:
-            # the child's edge count must leave the target reachable
+            # the target must stay reachable; every leaf below a weight-w
+            # child has at least edges + (n - k) * w edges (module docstring)
             low = max(low, target_edges - (max_total - comb(k + 1, 2)) - edges)
-            high = min(high, target_edges - edges)
+            high = min(high, (target_edges - edges) // (n - k))
         # the admissible weights only, merged into ascending mask order
         for mask in sorted(chain.from_iterable(_masks_by_weight(k)[low : high + 1])):
             if mask & top_mask and mask.bit_count() == top:
+                continue
+            # the child's triangles: the parent's plus its edges inside mask
+            if target_tri is not None and triangles + _edges_within(parent.rows, mask) > target_tri:
                 continue
             # masks in one Aut(parent)-orbit give isomorphic children, and
             # every test in this loop gives one answer on the whole orbit,
@@ -375,8 +395,6 @@ def enumerate_graphs(
                     continue
                 covered |= _mask_orbit(mask, gens)
             child = _extend(parent, mask)
-            if target_tri is not None and triangle_count(child) > target_tri:
-                continue
             cells = _refinement_cells(child, k, last_level)
             if cells is None:
                 continue

@@ -48,9 +48,6 @@ class Graph:
     def degree_sequence(self) -> list[int]:
         return sorted((r.bit_count() for r in self.rows), reverse=True)
 
-    def edges(self) -> list[tuple[int, int]]:
-        return [(i, j) for i in range(self.n) for j in _bits(self.rows[i]) if j > i]
-
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
 
@@ -191,13 +188,21 @@ def make_gc(p: int) -> Graph:
 # -- structural invariants ------------------------------------------------
 
 
-def triangle_count(g: Graph) -> int:
-    """Number of K_3 subgraphs (each triangle counted once)."""
+def _edges_within(rows: tuple[int, ...], mask: int) -> int:
+    """Number of edges of the adjacency ``rows`` with both ends in ``mask``."""
     total = 0
-    for i, j in g.edges():
-        above = ~((1 << (j + 1)) - 1)
-        total += (g.rows[i] & g.rows[j] & above).bit_count()
+    while mask:
+        low = mask & -mask
+        mask ^= low  # now the vertices of mask above this one
+        total += (rows[low.bit_length() - 1] & mask).bit_count()
     return total
+
+
+def triangle_count(g: Graph) -> int:
+    """Number of K_3 subgraphs (each triangle counted once, at its lowest
+    vertex, as an edge among that vertex's higher neighbours)."""
+    rows = g.rows
+    return sum(_edges_within(rows, row >> i + 1 << i + 1) for i, row in enumerate(rows))
 
 
 def clique_number(g: Graph) -> int:

@@ -92,16 +92,21 @@ def kite_charpoly_product(p: int, q: int) -> IntPolynomial:
 # -- graph helpers and the pendant-deletion route, called only by tests ------
 
 
+def edge_list(g: Graph) -> list[tuple[int, int]]:
+    """The edges (i, j), i < j, in row order."""
+    return [(i, j) for i in range(g.n) for j in range(i + 1, g.n) if g.rows[i] >> j & 1]
+
+
 def relabel(g: Graph, perm) -> Graph:
     """New graph where new vertex ``k`` is old vertex ``perm[k]``."""
     new = {v: k for k, v in enumerate(perm)}
-    return from_edges(g.n, ((new[i], new[j]) for i, j in g.edges()))
+    return from_edges(g.n, ((new[i], new[j]) for i, j in edge_list(g)))
 
 
 def subgraph_without(g: Graph, removed: set[int]) -> Graph:
     """Induced subgraph on the vertices outside ``removed``, in their order."""
     pos = {v: k for k, v in enumerate(v for v in range(g.n) if v not in removed)}
-    return from_edges(len(pos), ((pos[i], pos[j]) for i, j in g.edges() if i in pos and j in pos))
+    return from_edges(len(pos), ((pos[i], pos[j]) for i, j in edge_list(g) if i in pos and j in pos))
 
 
 def charpoly_pendant_recursive(g: Graph) -> IntPolynomial:

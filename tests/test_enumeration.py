@@ -64,6 +64,18 @@ extended = pytest.mark.skipif(
     os.environ.get("KITESPEC_EXTENDED") != "1", reason="set KITESPEC_EXTENDED=1"
 )
 
+# children built at each child order 2..n by a constrained walk, counted at
+# _extend: the degree-monotone edge window and the triangle test on the mask
+# set these, the stream does not
+BUILT_CHILDREN_PER_LEVEL = [
+    pytest.param(EnumConstraints(8, edges=14), [2, 4, 7, 19, 85, 528, 2452], id="n8-m14"),
+    pytest.param(EnumConstraints(8, triangles=2), [2, 4, 10, 29, 107, 468, 2749], id="n8-t2"),
+    pytest.param(
+        EnumConstraints(9, edges=23), [2, 4, 11, 33, 155, 993, 5925, 16424],
+        id="n9-m23", marks=extended,
+    ),
+]
+
 
 def stream_sha256(constraints, partition=None):
     stream = "\n".join(encode_graph6(g) for g in enumerate_graphs(constraints, partition))
@@ -324,6 +336,46 @@ class TestEnumeration:
         cons = EnumConstraints(6, edges=8, connected_only=True)
         keys = {canonical_form(h) for h in enumerate_graphs(cons)}
         assert canonical_form(g) in keys
+
+
+class TestConstrainedWalk:
+    """A constraint prunes subtrees of the walk but never reorders it: the
+    constrained stream is the unconstrained one filtered, graph for graph."""
+
+    @staticmethod
+    def assert_filtered_in_order(n, invariant, field, values):
+        expected = {value: [] for value in values}
+        for g in enumerate_graphs(EnumConstraints(n)):
+            expected.setdefault(invariant(g), []).append(encode_graph6(g))
+        for value in values:
+            cons = EnumConstraints(n, **{field: value})
+            assert [encode_graph6(g) for g in enumerate_graphs(cons)] == expected[value], value
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_edge_constraint_keeps_order(self, n):
+        self.assert_filtered_in_order(n, Graph.edge_count, "edges", range(comb(n, 2) + 1))
+
+    @extended
+    def test_edge_constraint_keeps_order_n8(self):
+        self.assert_filtered_in_order(8, Graph.edge_count, "edges", range(comb(8, 2) + 1))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_triangle_constraint_keeps_order(self, n):
+        self.assert_filtered_in_order(n, triangle_count, "triangles", range(4))
+
+    @pytest.mark.parametrize("constraints, per_level", BUILT_CHILDREN_PER_LEVEL)
+    def test_built_children_per_level(self, constraints, per_level, monkeypatch):
+        built = Counter()
+        extend = enumeration._extend
+
+        def counting(parent, mask):
+            built[parent.n + 1] += 1
+            return extend(parent, mask)
+
+        monkeypatch.setattr(enumeration, "_extend", counting)
+        for _ in enumerate_graphs(constraints):
+            pass
+        assert [built[k] for k in range(2, constraints.n + 1)] == per_level
 
 
 class TestCache:

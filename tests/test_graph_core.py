@@ -124,6 +124,19 @@ class TestStructuralInvariants:
             g = random_graph(rng, rng.randint(1, 10))
             assert 6 * triangle_count(g) == walk_count(g, 3)
 
+    def test_triangle_count_matches_networkx(self):
+        # every graph on at most 7 vertices, as labelled in the atlas and
+        # with its labels reversed, so each triangle's lowest vertex moves
+        nx = pytest.importorskip("networkx")
+        checked = 0
+        for h in nx.graph_atlas_g():
+            n = h.number_of_nodes()
+            expected = sum(nx.triangles(h).values()) // 3
+            for edges in (h.edges(), [(n - 1 - u, n - 1 - v) for u, v in h.edges()]):
+                assert triangle_count(from_edges(n, edges)) == expected, sorted(h.edges())
+            checked += 1
+        assert checked == 1253
+
     def test_clique_number_known(self):
         assert clique_number(make_kite(p=7, q=2)) == 7
         assert clique_number(make_cycle(5)) == 2
