@@ -51,11 +51,20 @@ def _emit_csv(rows) -> str:
 
 def _print(args, *, json_payload, csv_rows, text: str):
     if args.format == "json":
-        print(json.dumps(json_payload, indent=1))
+        out = json.dumps(json_payload, indent=1)
     elif args.format == "csv":
-        print(_emit_csv(csv_rows))
+        out = _emit_csv(csv_rows)
     else:
-        print(text)
+        out = text
+    try:
+        print(out, flush=True)
+    except BrokenPipeError:
+        # the reader stopped early (``| head``), which is no usage error: the
+        # rest goes to devnull, so the exit-time flush cannot fail either,
+        # and the command's own exit code stands
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 # -- commands -------------------------------------------------------------

@@ -62,6 +62,19 @@ vertex leaves it, and on the last level it is yielded as soon as the new
 vertex is alone in it, since it is then last in every cell-respecting
 ordering and nothing uses a leaf's automorphisms.  Only the remaining
 children get full cells and a canonical search.
+
+Three shortcuts in the kernel leave every key, ``last`` orbit, generator
+and stream as they were.  A refinement round given ``new`` counts the top
+class first: every key starts with the old label, so ``new`` stays in the
+top (last) cell exactly when no other top vertex's counts beat its own, and
+is alone there when its counts are the unique maximum, which is the full
+round's decision.  A vertex alone in its class gets no counts, since its
+label already fixes its rank.  A discrete partition admits one ordering,
+which the search takes directly: no other leaf exists to yield an
+automorphism, and its last vertex is the whole ``last`` orbit.  Inside the
+search a flag carries whether the prefix is below the incumbent's or equal
+to it, and the tried candidates are closed under the automorphisms only
+when a later candidate is tested, so the same candidates are skipped.
 """
 
 from __future__ import annotations
@@ -146,30 +159,42 @@ def _refinement_cells(
     non_adjacent = [~r for r in g.rows]
     count = int.bit_count
     classes = sorted(set(labels))
-    stable = False
+    if new is not None:
+        if labels[new] != classes[-1]:
+            return None
+        if leaf and labels.count(labels[new]) == 1:
+            return [[new]]
     while True:
-        if new is not None:
-            top = classes[-1]
-            if labels[new] != top:
-                return None
-            if leaf and labels.count(top) == 1:
-                return [[new]]
-        if stable:
-            break
         masks = dict.fromkeys(classes, 0)
         for v, lab in enumerate(labels):
             masks[lab] |= 1 << v
         cellmasks = list(masks.values())
+        if new is not None:
+            # the round's deletion decision, from the top class alone
+            rivals = masks[classes[-1]] & ~(1 << new)
+            if rivals:
+                mine = tuple(map(count, map(non_adjacent[new].__and__, cellmasks)))
+                rival = max(
+                    tuple(map(count, map(non_adjacent[v].__and__, cellmasks)))
+                    for v in _bits(rivals)
+                )
+                if rival > mine:
+                    return None
+                if leaf and rival < mine:
+                    return [[new]]
+        # a singleton class's rank is fixed by its label alone
+        shared = {lab for lab, mask in masks.items() if mask & (mask - 1)}
         keys = [
-            (lab, tuple(map(count, map(row.__and__, cellmasks))))
+            (lab, tuple(map(count, map(row.__and__, cellmasks))) if lab in shared else ())
             for lab, row in zip(labels, non_adjacent)
         ]
         order = {key: rank for rank, key in enumerate(sorted(set(keys)))}
         labels = [order[key] for key in keys]
         # stable once no class splits; a discrete partition cannot split
-        stable = len(order) == len(classes) or len(order) == n
+        if len(order) == len(classes) or len(order) == n:
+            break
         classes = range(len(order))
-    cells: list[list[int]] = [[] for _ in classes]
+    cells: list[list[int]] = [[] for _ in order]
     for v, lab in enumerate(labels):
         cells[lab].append(v)
     return cells
@@ -233,59 +258,86 @@ def _canonical_search(
         return (), 0, []
     if cells is None:
         cells = _refinement_cells(g)
+    rows = g.rows
+    if len(cells) == n:
+        # a discrete partition allows one ordering: the only leaf, so no
+        # automorphism is found and its last vertex is all of ``last``
+        order = [v for v, in cells]
+        cols = []
+        for j, v in enumerate(order):
+            col = 0
+            for u in order[:j]:
+                col = col << 1 | (rows[v] >> u & 1)
+            cols.append(col)
+        return tuple(cols), 1 << order[-1], []
     cell_of_pos: list[list[int]] = []
     for cell in cells:
         cell_of_pos.extend([cell] * len(cell))
-    best: list[int] | None = None
+    best: list[int] = []
     best_perm: list[int] = []
     # (bitmask of fixed points, image list) of each automorphism found
     autos: list[tuple[int, list[int]]] = []
-    perm = [0] * n
-    rows = g.rows
+    perm: list[int] = []  # the prefix's vertices, in order
 
-    def rec(pos: int, used: int, cols: list[int]):
+    def rec(pos: int, used: int, cols: list[int], below: bool) -> bool:
+        """Search below the prefix ``cols``, which is less than the
+        incumbent's prefix when ``below`` (or no leaf is reached yet) and
+        equal to it otherwise; returns whether the incumbent was replaced."""
         nonlocal best, best_perm
         if pos == n:
-            if best is None or cols < best:
+            if below:
                 best = cols[:]
                 best_perm = perm[:]
-            elif cols == best:
-                img = [0] * n
-                fixed = 0
-                for u, w in zip(best_perm, perm):
-                    img[u] = w
-                    if u == w:
-                        fixed |= 1 << u
-                autos.append((fixed, img))
-            return
-        # candidates tried here, closed under the automorphisms in gens:
-        # those found so far that fix the prefix pointwise
-        orbit = 0
+                return True
+            img = [0] * n
+            fixed = 0
+            for u, w in zip(best_perm, perm):
+                img[u] = w
+                if u == w:
+                    fixed |= 1 << u
+            autos.append((fixed, img))
+            return False
+        replaced = False
+        # candidates tried here; before each later one they are closed under
+        # gens, the automorphisms found so far that fix the prefix pointwise
+        tried = 0
         gens: list[list[int]] = []
         scanned = 0
         for v in cell_of_pos[pos]:
             if used >> v & 1:
                 continue
-            if scanned < len(autos):
-                gens += [img for fixed, img in autos[scanned:] if not used & ~fixed]
-                scanned = len(autos)
-                orbit = _orbit(orbit, gens)
-            if orbit >> v & 1:
-                continue
-            orbit = _orbit(orbit | 1 << v, gens)
+            if tried:
+                if scanned < len(autos):
+                    gens += [img for fixed, img in autos[scanned:] if not used & ~fixed]
+                    scanned = len(autos)
+                if gens:
+                    tried = _orbit(tried, gens)
+                    if tried >> v & 1:
+                        continue
+            tried |= 1 << v
             col = 0
             rv = rows[v]
-            for i in range(pos):
-                col = col << 1 | (rv >> perm[i] & 1)
-            cols.append(col)
+            for u in perm:
+                col = col << 1 | (rv >> u & 1)
             # lexicographic prefix prune against the incumbent minimum
-            if best is None or cols <= best[: pos + 1]:
-                perm[pos] = v
-                rec(pos + 1, used | 1 << v, cols)
+            if below:
+                child_below = True
+            elif col > best[pos]:
+                continue
+            else:
+                child_below = col < best[pos]
+            perm.append(v)
+            cols.append(col)
+            if rec(pos + 1, used | 1 << v, cols, child_below):
+                # the new incumbent extends this prefix
+                replaced = True
+                below = False
             cols.pop()
+            perm.pop()
+        return replaced
 
-    rec(0, 0, [])
-    if best is None:
+    rec(0, 0, [], True)
+    if not best_perm:
         raise RuntimeError("canonical search reached no leaf")
     gens = [img for _, img in autos]
     return tuple(best), _orbit(1 << best_perm[-1], gens), gens

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations, product
 
 import pytest
 
@@ -45,6 +46,26 @@ def brute_force_classes(n: int, connected_only: bool = False) -> set[CanonicalKe
             continue
         keys.add(canonical_form(g))
     return keys
+
+
+def brute_force_search(g: Graph, cells: list[list[int]]) -> tuple[tuple[int, ...], int]:
+    """Oracle for ``_canonical_search``: the least column encoding over every
+    ordering that lists the cells in turn, each in any order, and the
+    bitmask of vertices that end some ordering reaching it.  Column j holds
+    the adjacencies of position j to positions 0..j-1, the earliest in the
+    highest bit."""
+    best, last = None, 0
+    for parts in product(*map(permutations, cells)):
+        order = [v for part in parts for v in part]
+        cols = tuple(
+            sum((g.rows[v] >> order[i] & 1) << (j - 1 - i) for i in range(j))
+            for j, v in enumerate(order)
+        )
+        if best is None or cols < best:
+            best, last = cols, 0
+        if cols == best:
+            last |= 1 << order[-1]
+    return best, last
 
 
 def spectrum_sane(values: list[float], edge_count: int, tol: float = 1e-12) -> bool:

@@ -2,6 +2,9 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -12,6 +15,7 @@ from kitespec.cli import (
     EXIT_USAGE,
     main,
 )
+import kitespec
 from kitespec import bounds
 from kitespec.charpoly import charpoly
 from kitespec.enumeration import EnumConstraints, cache_load
@@ -307,6 +311,22 @@ class TestEnumerateCommand:
     def test_over_cap_is_usage_error(self, capsys):
         code, _, err = run(capsys, "enumerate", "--n", "15")
         assert code == EXIT_USAGE
+
+    def test_reader_closing_the_pipe_early_is_no_error(self):
+        # n = 8 prints about 135 KB, more than a pipe buffer holds, so the
+        # write fails once the reader has gone
+        src = os.path.dirname(os.path.dirname(kitespec.__file__))
+        env = {k: v for k, v in os.environ.items() if k != CACHE_DIR_ENV}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "kitespec", "enumerate", "--n", "8"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=120), err, first) == (EXIT_OK, b"", b"G?????\n")
 
 
 class TestUsageContract:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import time
 from collections import Counter
 from itertools import chain
@@ -37,7 +38,7 @@ from kitespec.graph import (
     triangle_count,
 )
 
-from conftest import brute_force_classes, random_graph, relabel
+from conftest import brute_force_classes, brute_force_search, random_graph, relabel
 
 # isomorphism-class counts for simple graphs on n vertices (all / connected)
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
@@ -60,6 +61,14 @@ N9_M23_PARTITION_SHA256 = [
     "ebea05f65326ca71a65fc3967029edb44a07488208f387242170033c92c8e78d",
 ]
 
+# sha256 over (bits, last) of _canonical_search for every class on the given
+# orders, each under a seeded relabelling: pins the key function itself and
+# the canonical-deletion orbit, not only the stream built from them
+CANONICAL_KEYS_SHA256 = {
+    7: "4b28d3b8d9e8bf5b7b82a0b71ed0baa6743f47502f192fc00fe5b56a2c351592",
+    8: "b09507c60713f0c60b951acbce882641536d943561f71cf07c019196414d2a81",
+}
+
 extended = pytest.mark.skipif(
     os.environ.get("KITESPEC_EXTENDED") != "1", reason="set KITESPEC_EXTENDED=1"
 )
@@ -80,6 +89,18 @@ BUILT_CHILDREN_PER_LEVEL = [
 def stream_sha256(constraints, partition=None):
     stream = "\n".join(encode_graph6(g) for g in enumerate_graphs(constraints, partition))
     return hashlib.sha256(stream.encode()).hexdigest()
+
+
+def canonical_keys_sha256(orders):
+    rng = random.Random(0x5EED)
+    h = hashlib.sha256()
+    for n in orders:
+        for g in enumerate_graphs(EnumConstraints(n)):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            cols, last, _ = enumeration._canonical_search(relabel(g, perm))
+            h.update(f"{n} {enumeration._cols_to_bits(cols)} {last}\n".encode())
+    return h.hexdigest()
 
 
 def group_order(gens, n):
@@ -143,6 +164,32 @@ class TestCanonicalForm:
             assert group_order(gens, n) == expected, encode_graph6(g)
             checked += 1
         assert checked == sum(ALL_COUNTS[n] for n in range(1, 7))
+
+    def test_search_matches_brute_force(self):
+        # the definition, checked without the backtracking: the least
+        # encoding over cell-respecting orderings, every vertex that ends a
+        # least ordering, and automorphisms only
+        rng = random.Random(0x5EED)
+        checked = 0
+        for n in range(1, 7):
+            for g in enumerate_graphs(EnumConstraints(n)):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                for h in (g, relabel(g, perm)):
+                    cols, last, gens = enumeration._canonical_search(h)
+                    expected = brute_force_search(h, enumeration._refinement_cells(h))
+                    assert (cols, last) == expected, encode_graph6(h)
+                    for img in gens:
+                        assert relabel(h, img) == h, encode_graph6(h)
+                    checked += 1
+        assert checked == 2 * sum(ALL_COUNTS[n] for n in range(1, 7))
+
+    def test_golden_canonical_keys(self):
+        assert canonical_keys_sha256(range(1, 8)) == CANONICAL_KEYS_SHA256[7]
+
+    @extended
+    def test_golden_canonical_keys_n8(self):
+        assert canonical_keys_sha256([8]) == CANONICAL_KEYS_SHA256[8]
 
     @pytest.mark.parametrize(
         "g, bits",
