@@ -1,3 +1,6 @@
+import os
+from math import comb
+
 import pytest
 
 from kitespec import das
@@ -15,6 +18,7 @@ from kitespec.das import (
 )
 from kitespec.enumeration import EnumConstraints, canonical_form, enumerate_graphs
 from kitespec.graph import (
+    Graph,
     KiteParams,
     decode_graph6,
     encode_graph6,
@@ -26,6 +30,19 @@ from kitespec.graph import (
     make_star,
     triangle_count,
 )
+
+extended = pytest.mark.skipif(
+    os.environ.get("KITESPEC_EXTENDED") != "1", reason="set KITESPEC_EXTENDED=1"
+)
+
+# graphs on n vertices with a cospectral mate (Haemers and Spence,
+# "Enumeration of cospectral graphs", 2004)
+TARGETS_WITH_MATES = {1: 0, 2: 0, 3: 0, 4: 0, 5: 2, 6: 10, 7: 110}
+
+
+def complement(g: Graph) -> Graph:
+    pairs = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)]
+    return from_edges(g.n, [(i, j) for i, j in pairs if not g.rows[i] >> j & 1])
 
 
 class TestMateSearch:
@@ -54,20 +71,68 @@ class TestMateSearch:
             assert report.verdict == VERDICT_DAS, (p, q)
 
     def test_prefilter_is_lossless(self):
-        # oracle: every class of the space, compared without the triangle prefilter
-        for target in (make_kite(p=4, q=2), make_star(4)):
-            space = list(enumerate_graphs(EnumConstraints(n=target.n, edges=target.edge_count())))
-            mates = {
-                encode_graph6(g)
-                for g in space
-                if charpoly(g) == charpoly(target) and canonical_form(g) != canonical_form(target)
-            }
-            report = find_cospectral_mates(target)
-            assert report.mates == sorted(mates)
-            assert report.classes_scanned == len(space)
-            assert report.prefilter_survivors == sum(
-                triangle_count(g) == triangle_count(target) for g in space
-            )
+        for n in range(1, 7):
+            self.assert_matches_oracle(n)
+
+    @extended
+    def test_prefilter_is_lossless_n7(self):
+        self.assert_matches_oracle(7)
+
+    @staticmethod
+    def assert_matches_oracle(n):
+        # oracle: every target on n vertices against its own (n, m) stream,
+        # exact charpoly with no prefilter; a mate is reported as its
+        # representative in the sparser of the space and its complement
+        pairs = comb(n, 2)
+        streams = [list(enumerate_graphs(EnumConstraints(n=n, edges=m))) for m in range(pairs + 1)]
+        with_mates = 0
+        for m, space in enumerate(streams):
+            keys = [canonical_form(g) for g in space]
+            polys = [charpoly(g) for g in space]
+            triangles = [triangle_count(g) for g in space]
+            shown = space if 2 * m <= pairs else [complement(g) for g in streams[pairs - m]]
+            graph6 = {canonical_form(g): encode_graph6(g) for g in shown}
+            for target, key, poly, t in zip(space, keys, polys, triangles):
+                report = find_cospectral_mates(target)
+                mates = {k for k, p in zip(keys, polys) if p == poly and k != key}
+                assert report.classes_scanned == len(space)
+                assert report.prefilter_survivors == triangles.count(t)
+                assert report.mates == sorted(graph6[k] for k in mates)
+                with_mates += bool(mates)
+        assert with_mates == TARGETS_WITH_MATES[n]
+
+    def test_dense_targets_compare_the_dense_spectra(self):
+        # complementing keeps no spectrum unless the graph is regular: the
+        # complement of K_{1,4}, K_4 + K_1, has no mate although K_{1,4} has
+        report = find_cospectral_mates(complement(make_star(4)))
+        assert report.classes_scanned == 6
+        assert report.verdict == VERDICT_DAS
+        # the complement of C_6 + K_1 (the cone over the prism, 15 of 21
+        # edges) has one mate, the complement of the spider with three legs
+        # of length 2, reported as the complement of the 6-edge
+        # representative of that spider
+        target = complement(from_edges(7, [(i, (i + 1) % 6) for i in range(6)]))
+        spider = from_edges(7, [(6, 0), (0, 3), (6, 1), (1, 4), (6, 2), (2, 5)])
+        (sparse,) = [
+            g for g in enumerate_graphs(EnumConstraints(n=7, edges=6))
+            if canonical_form(g) == canonical_form(spider)
+        ]
+        report = find_cospectral_mates(target)
+        assert report.mates == [encode_graph6(complement(sparse))]
+        assert are_cospectral(decode_graph6(report.mates[0]), target)
+
+    def test_scan_short_of_polya_count_fails(self, monkeypatch):
+        # a walk that loses one class must not pass as exhaustive
+        walk = das.enumerate_graphs
+
+        def lossy(constraints, partition=None):
+            stream = walk(constraints, partition)
+            next(stream)
+            return stream
+
+        monkeypatch.setattr(das, "enumerate_graphs", lossy)
+        with pytest.raises(SearchInvariantError, match="Polya"):
+            find_cospectral_mates(make_kite(p=4, q=2))
 
     def test_parallel_matches_serial(self):
         target = make_kite(p=4, q=2)

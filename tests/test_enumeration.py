@@ -20,6 +20,7 @@ from kitespec.enumeration import (
     cache_store,
     canonical_form,
     canonical_graph,
+    class_count,
     enumerate_cached,
     enumerate_graphs,
 )
@@ -55,10 +56,11 @@ CONSTRAINED_STREAM_SHA256 = [
     (EnumConstraints(7, connected_only=True), "29e88adc3b56368b3005a9de608ee5e14a79700b9b0704191cc1b3da60820eb3"),
     (EnumConstraints(7, triangles=0), "0295d531dc1a3147107ff43d8d6bebd6e79f339bca6d86a034cc416e6b152851"),
 ]
-# the two halves of the n = 9, m = 23 stream the p = 7 mate search scans
-N9_M23_PARTITION_SHA256 = [
-    "3e83f2fb49e61fcb9676e166a5102dbc70b97a5c07c4605b36fdfe43b3c60e36",
-    "ebea05f65326ca71a65fc3967029edb44a07488208f387242170033c92c8e78d",
+# the two halves of the n = 9, m = 13 stream the p = 7 mate search scans,
+# as the complements of the n = 9, m = 23 classes
+N9_M13_PARTITION_SHA256 = [
+    "a6b13dffe9cae917101c9e76e0191a217fb489de5325a375013465952aff284e",
+    "c0ad38880f1b03d7ae11788005c5556be798aa769689ed95524593202570ec75",
 ]
 
 # sha256 over (bits, last) of _canonical_search for every class on the given
@@ -363,9 +365,44 @@ class TestEnumeration:
 
     @extended
     @pytest.mark.parametrize("k", [0, 1])
-    def test_golden_stream_n9_m23_partition(self, k):
-        digest = stream_sha256(EnumConstraints(9, edges=23), partition=(k, 2))
-        assert digest == N9_M23_PARTITION_SHA256[k]
+    def test_golden_stream_n9_m13_partition(self, k):
+        digest = stream_sha256(EnumConstraints(9, edges=13), partition=(k, 2))
+        assert digest == N9_M13_PARTITION_SHA256[k]
+
+    @pytest.mark.parametrize(
+        "constraints",
+        [EnumConstraints(8, edges=10), pytest.param(EnumConstraints(9, edges=13), marks=extended)],
+        ids=["n8-m10", "n9-m13"],
+    )
+    def test_partitions_balanced(self, constraints):
+        # the leaf parents are dealt out, so neither half is a small remainder
+        halves = [
+            [encode_graph6(g) for g in enumerate_graphs(constraints, partition=(k, 2))]
+            for k in range(2)
+        ]
+        full = [encode_graph6(g) for g in enumerate_graphs(constraints)]
+        assert sorted(halves[0] + halves[1]) == sorted(full)
+        assert len(full) == class_count(constraints.n, constraints.edges)
+        assert all(len(half) >= 0.4 * len(full) for half in halves), list(map(len, halves))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_class_count_matches_enumeration(self, n):
+        for m in range(comb(n, 2) + 1):
+            assert class_count(n, m) == sum(1 for _ in enumerate_graphs(EnumConstraints(n, edges=m)))
+        assert sum(class_count(n, m) for m in range(comb(n, 2) + 1)) == ALL_COUNTS[n]
+
+    @extended
+    def test_class_count_matches_enumeration_n8_n9(self):
+        for m in range(comb(8, 2) + 1):
+            assert class_count(8, m) == sum(1 for _ in enumerate_graphs(EnumConstraints(8, edges=m)))
+        assert class_count(9, 23) == 10120
+        assert sum(1 for _ in enumerate_graphs(EnumConstraints(9, edges=23))) == 10120
+
+    def test_class_count_edge_cases(self):
+        # complementing pairs the m-edge classes with the C(n, 2) - m ones
+        assert all(class_count(9, m) == class_count(9, 36 - m) for m in range(37))
+        assert class_count(11, 0) == class_count(11, 55) == 1
+        assert class_count(5, 11) == class_count(5, -1) == class_count(0, 0) == 0
 
     def test_matches_networkx_atlas(self):
         nx = pytest.importorskip("networkx")
