@@ -67,8 +67,9 @@ def _scan_partition(args) -> tuple[int, int, list[str]]:
     Returns (classes_scanned, prefilter_survivors, mate graph6 strings).
     Top-level so it pickles for process pools.
     """
-    target_g6, n, m, part, total = args
+    target_g6, part, total = args
     target = decode_graph6(target_g6)
+    n, m = target.n, target.edge_count()
     target_poly = charpoly(target)
     target_key = canonical_form(target)
     target_t = triangle_count(target)
@@ -119,7 +120,7 @@ def find_cospectral_mates(
         claim=claim,
     )
     total = max(1, min(workers, os.cpu_count() or 1))
-    jobs = [(report.target, n, m, k, total) for k in range(total)]
+    jobs = [(report.target, k, total) for k in range(total)]
     if total == 1:
         results = [_scan_partition(jobs[0])]
     else:

@@ -51,9 +51,7 @@ edges therefore has only leaves with at least e + (n - k) * w edges, so
 with an edge target m the window's upper end is (m - e) // (n - k).  This
 cuts only subtrees without a leaf of m edges, and being a popcount bound it
 keeps every orbit's least mask, so the stream and its order are those of
-the unconstrained walk filtered to m edges.  A triangle target is tested on
-the mask as well: the child's triangles are the parent's plus the parent's
-edges inside the mask, and triangles, too, never disappear below a node.
+the unconstrained walk filtered to m edges.
 
 Children are built from the parent's rows without re-validation.  A built
 child is refined only until canonical deletion is decided: the top
@@ -90,10 +88,9 @@ from math import comb, factorial, gcd
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .graph import (
-    Graph, _bits, _edges_within, _trusted_graph, decode_graph6, encode_graph6, is_connected,
-    triangle_count,
-)
+from .graph import Graph, _bits, _trusted_graph, decode_graph6, encode_graph6, is_connected
+# unused here, but the benchmark's tracer wraps ``enumeration.triangle_count``
+from .graph import triangle_count  # noqa: F401
 
 FULL_ENUM_CAP = 9
 CONSTRAINED_ENUM_CAP = 11
@@ -118,7 +115,6 @@ class EnumConstraints:
     n: int
     edges: int | None = None
     connected_only: bool = False
-    triangles: int | None = None
 
     def __post_init__(self):
         if self.n < 0:
@@ -142,10 +138,9 @@ def class_count(n: int, edges: int) -> int:
     ``edges`` edges, by Polya's theorem: the average over S_n of the
     coefficient of x**edges in the product, over the cycles a permutation
     induces on vertex pairs, of (1 + x**length).  Permutations of one cycle
-    type contribute alike, so the sum runs over the partitions of n.  Like
-    ``enumerate_graphs``, it counts nothing on 0 vertices."""
+    type contribute alike, so the sum runs over the partitions of n."""
     pairs = comb(n, 2)
-    if n == 0 or not 0 <= edges <= pairs:
+    if not 0 <= edges <= pairs:
         return 0
     total = 0
     for cycle_type in _integer_partitions(n, n):
@@ -440,22 +435,19 @@ def enumerate_graphs(
 
     ``partition=(k, K)`` restricts the walk to the k-th of K deterministic
     subtrees; merging all K streams reproduces the full stream as a set.  The
-    split is made at the leaf parents, the nodes on n - 1 vertices, which
-    are dealt out round robin in walk order: each partition walks the
-    internal levels again, which are cheap beside the last, and the leaves
-    fall nearly evenly (5056 and 5064 of the 10120 classes with 9 vertices
-    and 13 edges), where a split higher up leaves a few subtrees holding
-    most of a sparse space.
+    split is made at the leaf parents, the nodes on n - 1 vertices (for
+    n = 0, the null graph itself), which are dealt out round robin in walk
+    order: each partition walks the internal levels again, which are cheap
+    beside the last, and the leaves fall nearly evenly (5056 and 5064 of
+    the 10120 classes with 9 vertices and 13 edges), where a split higher
+    up leaves a few subtrees holding most of a sparse space.
     """
     n = constraints.n
-    if n == 0:
-        return
     if partition is not None:
         k, total = partition
         if not (total >= 1 and 0 <= k < total):
             raise EnumerationError(f"bad partition {partition}")
     target_edges = constraints.edges
-    target_tri = constraints.triangles
     max_total = comb(n, 2)
 
     def children(
@@ -467,10 +459,9 @@ def enumerate_graphs(
         last_level = k + 1 == n
         covered: set[int] = set()  # masks in the orbit of an earlier one
         degrees = [r.bit_count() for r in parent.rows]
-        top = max(degrees)
+        top = max(degrees, default=0)
         top_mask = sum(1 << i for i, d in enumerate(degrees) if d == top)
         edges = sum(degrees) // 2
-        triangles = triangle_count(parent) if target_tri is not None else 0
         # the last cell, which holds the canonical-deletion vertex, lies
         # inside the child's maximum-degree class: the new vertex needs
         # degree top, or top + 1 when it meets a vertex of degree top
@@ -483,9 +474,6 @@ def enumerate_graphs(
         # the admissible weights only, merged into ascending mask order
         for mask in sorted(chain.from_iterable(_masks_by_weight(k)[low : high + 1])):
             if mask & top_mask and mask.bit_count() == top:
-                continue
-            # the child's triangles: the parent's plus its edges inside mask
-            if target_tri is not None and triangles + _edges_within(parent.rows, mask) > target_tri:
                 continue
             # masks in one Aut(parent)-orbit give isomorphic children, and
             # every test in this loop gives one answer on the whole orbit,
@@ -507,15 +495,7 @@ def enumerate_graphs(
             if last >> k & 1:
                 yield child, child_gens
 
-    def accepted(g: Graph) -> bool:
-        # the edge window closes to the target on the last level
-        if target_tri is not None and triangle_count(g) != target_tri:
-            return False
-        if constraints.connected_only and not is_connected(g):
-            return False
-        return True
-
-    split_level = max(n - 1, 1) if partition is not None else None
+    split_level = max(n - 1, 0) if partition is not None else None
 
     def walk(g: Graph, gens: list[list[int]], index: list[int]) -> Iterator[Graph]:
         if split_level is not None and g.n == split_level:
@@ -524,13 +504,14 @@ def enumerate_graphs(
             if not mine:
                 return
         if g.n == n:
-            if accepted(g):
+            # the edge window closes to the target on the last level
+            if not constraints.connected_only or is_connected(g):
                 yield g
             return
         for child, child_gens in children(g, gens):
             yield from walk(child, child_gens, index)
 
-    yield from walk(Graph(1, (0,)), [], [0])
+    yield from walk(Graph(0, ()), [], [0])
 
 
 # -- on-disk graph6 cache -----------------------------------------------------

@@ -188,21 +188,18 @@ def make_gc(p: int) -> Graph:
 # -- structural invariants ------------------------------------------------
 
 
-def _edges_within(rows: tuple[int, ...], mask: int) -> int:
-    """Number of edges of the adjacency ``rows`` with both ends in ``mask``."""
-    total = 0
-    while mask:
-        low = mask & -mask
-        mask ^= low  # now the vertices of mask above this one
-        total += (rows[low.bit_length() - 1] & mask).bit_count()
-    return total
-
-
 def triangle_count(g: Graph) -> int:
     """Number of K_3 subgraphs (each triangle counted once, at its lowest
     vertex, as an edge among that vertex's higher neighbours)."""
     rows = g.rows
-    return sum(_edges_within(rows, row >> i + 1 << i + 1) for i, row in enumerate(rows))
+    total = 0
+    for i, row in enumerate(rows):
+        higher = row >> i + 1 << i + 1
+        while higher:
+            low = higher & -higher
+            higher ^= low  # now the higher neighbours above this one
+            total += (rows[low.bit_length() - 1] & higher).bit_count()
+    return total
 
 
 def clique_number(g: Graph) -> int:

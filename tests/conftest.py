@@ -1,3 +1,4 @@
+import os
 import random
 from itertools import permutations, product
 
@@ -26,6 +27,13 @@ def random_connected_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
 @pytest.fixture
 def rng():
     return random.Random(0x5EED)
+
+
+# the extended checks (n = 8 and 9 walks, the p = 7 search) run only when
+# KITESPEC_EXTENDED=1
+extended = pytest.mark.skipif(
+    os.environ.get("KITESPEC_EXTENDED") != "1", reason="set KITESPEC_EXTENDED=1"
+)
 
 
 # -- oracles that check the package from outside ----------------------------

@@ -1,4 +1,3 @@
-import os
 from math import comb
 
 import pytest
@@ -31,9 +30,7 @@ from kitespec.graph import (
     triangle_count,
 )
 
-extended = pytest.mark.skipif(
-    os.environ.get("KITESPEC_EXTENDED") != "1", reason="set KITESPEC_EXTENDED=1"
-)
+from conftest import extended
 
 # graphs on n vertices with a cospectral mate (Haemers and Spence,
 # "Enumeration of cospectral graphs", 2004)
@@ -43,6 +40,32 @@ TARGETS_WITH_MATES = {1: 0, 2: 0, 3: 0, 4: 0, 5: 2, 6: 10, 7: 110}
 def complement(g: Graph) -> Graph:
     pairs = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)]
     return from_edges(g.n, [(i, j) for i, j in pairs if not g.rows[i] >> j & 1])
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """A serial stand-in for the process pool, so a search with several
+    partitions starts no process; returns the list of max_workers and job
+    counts it saw."""
+    seen = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            jobs = list(jobs)
+            seen.append(len(jobs))
+            return map(fn, jobs)
+
+    monkeypatch.setattr(das.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return seen
 
 
 class TestMateSearch:
@@ -142,26 +165,9 @@ class TestMateSearch:
         assert serial.classes_scanned == parallel.classes_scanned
         assert serial.verdict == parallel.verdict
 
-    def test_partitions_capped_at_cpu_count(self, monkeypatch):
-        # a serial stand-in for the pool, so a missing cap cannot start processes
-        seen = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                jobs = list(jobs)
-                seen.append(len(jobs))
-                return map(fn, jobs)
-
-        monkeypatch.setattr(das.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    def test_partitions_capped_at_cpu_count(self, monkeypatch, serial_pool):
+        # the serial pool, so a missing cap cannot start processes
+        seen = serial_pool
         monkeypatch.setattr(das.os, "cpu_count", lambda: 3)
         target = make_kite(p=4, q=2)
         serial = find_cospectral_mates(target)
@@ -173,6 +179,14 @@ class TestMateSearch:
         monkeypatch.setattr(das.os, "cpu_count", lambda: None)
         find_cospectral_mates(target, workers=5000)
         assert seen == [3, 3]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_null_graph_is_one_class(self, monkeypatch, serial_pool, workers):
+        monkeypatch.setattr(das.os, "cpu_count", lambda: 2)
+        report = find_cospectral_mates(Graph(0, ()), workers=workers)
+        assert serial_pool == ([2, 2] if workers == 2 else [])
+        assert (report.classes_scanned, report.prefilter_survivors) == (1, 1)
+        assert report.mates == [] and report.verdict == VERDICT_DAS
 
     def test_report_fields(self):
         target = make_kite(p=4, q=1)

@@ -1,6 +1,5 @@
 import hashlib
 import json
-import os
 import random
 import time
 from collections import Counter
@@ -36,13 +35,12 @@ from kitespec.graph import (
     make_kite,
     make_path,
     make_star,
-    triangle_count,
 )
 
-from conftest import brute_force_classes, brute_force_search, random_graph, relabel
+from conftest import brute_force_classes, brute_force_search, extended, random_graph, relabel
 
 # isomorphism-class counts for simple graphs on n vertices (all / connected)
-ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
+ALL_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 
 # sha256 of the newline-joined graph6 stream of enumerate_graphs(n): pins the
@@ -54,7 +52,6 @@ STREAM_SHA256 = {
 CONSTRAINED_STREAM_SHA256 = [
     (EnumConstraints(8, edges=14), "a33b30c1f6a59638fc503fc7ea2c0d3f3a7e851e9b039633d568c28b1c09cbb5"),
     (EnumConstraints(7, connected_only=True), "29e88adc3b56368b3005a9de608ee5e14a79700b9b0704191cc1b3da60820eb3"),
-    (EnumConstraints(7, triangles=0), "0295d531dc1a3147107ff43d8d6bebd6e79f339bca6d86a034cc416e6b152851"),
 ]
 # the two halves of the n = 9, m = 13 stream the p = 7 mate search scans,
 # as the complements of the n = 9, m = 23 classes
@@ -71,16 +68,10 @@ CANONICAL_KEYS_SHA256 = {
     8: "b09507c60713f0c60b951acbce882641536d943561f71cf07c019196414d2a81",
 }
 
-extended = pytest.mark.skipif(
-    os.environ.get("KITESPEC_EXTENDED") != "1", reason="set KITESPEC_EXTENDED=1"
-)
-
 # children built at each child order 2..n by a constrained walk, counted at
-# _extend: the degree-monotone edge window and the triangle test on the mask
-# set these, the stream does not
+# _extend: the degree-monotone edge window sets these, the stream does not
 BUILT_CHILDREN_PER_LEVEL = [
     pytest.param(EnumConstraints(8, edges=14), [2, 4, 7, 19, 85, 528, 2452], id="n8-m14"),
-    pytest.param(EnumConstraints(8, triangles=2), [2, 4, 10, 29, 107, 468, 2749], id="n8-t2"),
     pytest.param(
         EnumConstraints(9, edges=23), [2, 4, 11, 33, 155, 993, 5925, 16424],
         id="n9-m23", marks=extended,
@@ -320,11 +311,6 @@ class TestEnumeration:
         )
         assert total == ALL_COUNTS[6]
 
-    def test_triangle_constraint(self):
-        graphs = list(enumerate_graphs(EnumConstraints(6, triangles=0)))
-        assert all(triangle_count(g) == 0 for g in graphs)
-        assert any(canonical_form(g) == canonical_form(make_cycle(6)) for g in graphs)
-
     def test_partitions_merge_to_full_stream(self):
         full = {canonical_form(g) for g in enumerate_graphs(EnumConstraints(6))}
         merged = set()
@@ -336,6 +322,17 @@ class TestEnumeration:
             assert part <= full
             merged |= part
         assert merged == full
+
+    def test_null_graph_is_one_class(self):
+        for cons in (EnumConstraints(0), EnumConstraints(0, edges=0, connected_only=True)):
+            assert [encode_graph6(g) for g in enumerate_graphs(cons)] == ["?"]
+        # the root is dealt to exactly one partition
+        for total in range(1, 4):
+            streams = [
+                [encode_graph6(g) for g in enumerate_graphs(EnumConstraints(0), partition=(k, total))]
+                for k in range(total)
+            ]
+            assert sorted(chain.from_iterable(streams)) == ["?"], total
 
     def test_constraint_validation(self):
         with pytest.raises(EnumerationError):
@@ -358,7 +355,7 @@ class TestEnumeration:
     @pytest.mark.parametrize(
         "constraints, digest",
         CONSTRAINED_STREAM_SHA256,
-        ids=["n8-m14", "n7-connected", "n7-triangle-free"],
+        ids=["n8-m14", "n7-connected"],
     )
     def test_golden_stream_constrained(self, constraints, digest):
         assert stream_sha256(constraints) == digest
@@ -385,7 +382,7 @@ class TestEnumeration:
         assert len(full) == class_count(constraints.n, constraints.edges)
         assert all(len(half) >= 0.4 * len(full) for half in halves), list(map(len, halves))
 
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(8))
     def test_class_count_matches_enumeration(self, n):
         for m in range(comb(n, 2) + 1):
             assert class_count(n, m) == sum(1 for _ in enumerate_graphs(EnumConstraints(n, edges=m)))
@@ -402,7 +399,8 @@ class TestEnumeration:
         # complementing pairs the m-edge classes with the C(n, 2) - m ones
         assert all(class_count(9, m) == class_count(9, 36 - m) for m in range(37))
         assert class_count(11, 0) == class_count(11, 55) == 1
-        assert class_count(5, 11) == class_count(5, -1) == class_count(0, 0) == 0
+        assert class_count(5, 11) == class_count(5, -1) == 0
+        assert class_count(0, 0) == 1  # the null graph
 
     def test_matches_networkx_atlas(self):
         nx = pytest.importorskip("networkx")
@@ -442,10 +440,6 @@ class TestConstrainedWalk:
     @extended
     def test_edge_constraint_keeps_order_n8(self):
         self.assert_filtered_in_order(8, Graph.edge_count, "edges", range(comb(8, 2) + 1))
-
-    @pytest.mark.parametrize("n", range(1, 8))
-    def test_triangle_constraint_keeps_order(self, n):
-        self.assert_filtered_in_order(n, triangle_count, "triangles", range(4))
 
     @pytest.mark.parametrize("constraints, per_level", BUILT_CHILDREN_PER_LEVEL)
     def test_built_children_per_level(self, constraints, per_level, monkeypatch):
