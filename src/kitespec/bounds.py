@@ -240,26 +240,38 @@ class InequalityCheck(NamedTuple):
         return {k: str(v) if isinstance(v, Fraction) else v for k, v in self._asdict().items()}
 
 
-def verify_lemma41_inequality(p_max: int) -> list[InequalityCheck]:
+def _lemma41_rhs_squared(p: int) -> Fraction:
+    """(p-1 + 1/p^2 + 1/p^3)^2, the squared radius lower bound."""
+    return (Fraction(p - 1) + Fraction(1, p * p) + Fraction(1, p**3)) ** 2
+
+
+def verify_lemma41_inequality(
+    p_max: int, every_case: bool = False
+) -> tuple[int, list[InequalityCheck]]:
     """Exact-rational replacement for the computer-algebra step behind the
     clique bound: for every p <= p_max, q >= 1 with p - 2q >= 3 and
     2 <= r < p - 2q, check 2m(r-1)/r < (p-1 + 1/p^2 + 1/p^3)^2 where
     m = (p^2 - p + 2q)/2. Squares are compared, so no radicals appear.
     The number of checks grows as p_max**3, so p_max is capped at
-    LEMMA41_P_MAX."""
+    LEMMA41_P_MAX.  Returns the number of cases and the records of the
+    violations, or of every case with ``every_case``: each case is decided
+    on integers, and only a returned record builds its Fractions."""
     if p_max < 3:
         raise ValueError("p_max >= 3 required")
     if p_max > LEMMA41_P_MAX:
         raise ValueError(f"sweep capped at p_max <= {LEMMA41_P_MAX}")
-    checks = []
+    cases, records = 0, []
     for p in range(3, p_max + 1):
-        rhs = (Fraction(p - 1) + Fraction(1, p * p) + Fraction(1, p**3)) ** 2
+        rhs = _lemma41_rhs_squared(p)
         num, den = rhs.numerator, rhs.denominator
         q = 1
         while p - 2 * q >= 3:
             two_m = p * p - p + 2 * q
             for r in range(2, p - 2 * q):
                 holds = two_m * (r - 1) * den < num * r  # lhs < rhs, cross-multiplied
-                checks.append(InequalityCheck(p, q, r, Fraction(two_m * (r - 1), r), rhs, holds))
+                if every_case or not holds:
+                    lhs = Fraction(two_m * (r - 1), r)
+                    records.append(InequalityCheck(p, q, r, lhs, rhs, holds))
+            cases += p - 2 * q - 2
             q += 1
-    return checks
+    return cases, records

@@ -7,11 +7,11 @@ Two algorithmically independent routes are provided:
 * :func:`charpoly_interpolated` -- fraction-free (Bareiss) determinants of
   lambda*I - A at n+1 integer points, Lagrange-interpolated back.
 
-Kites need no graph at all: :func:`kite_charpoly` applies the pendant rule
-P(G) = lambda*P(G - x1) - P(G - x1 - x2), for a pendant x1 with neighbour x2,
-along the path, starting from the binomial closed form of P(K_p).  It is
-the one owner of that recurrence: the path polynomials (Kite_{1,n-1} = P_n)
-and the two-pendant closed form :func:`closed_form_gc` are read off it.
+Kites need no graph at all: :func:`kite_charpoly_series` applies the pendant
+rule P(G) = lambda*P(G - x1) - P(G - x1 - x2), for a pendant x1 with neighbour
+x2, along the path from the binomial closed form of P(K_p), one term per tail
+length.  It is the one owner of that recurrence: :func:`kite_charpoly` and
+the path polynomials (Kite_{1,n-1} = P_n) are read off it.
 
 All results are monic integer polynomials; cospectrality is decided only on
 these exact coefficient vectors, never on floating-point spectra.
@@ -22,6 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 from operator import mul
+from typing import Iterator
 
 from .graph import Graph
 from .polynomial import IntPolynomial, ONE, lagrange_integer
@@ -109,33 +110,27 @@ def closed_form_complete(p: int) -> IntPolynomial:
     return IntPolynomial(tuple(b[k] + (1 - p) * b[k + 1] for k in range(p + 1)))
 
 
-def kite_charpoly(p: int, q: int) -> IntPolynomial:
-    """Kite polynomial by pendant deletion along the path:
+def kite_charpoly_series(p: int, q_max: int) -> Iterator[tuple[int, ...]]:
+    """Coefficients of P(Kite_{p,q}) for q = 0, ..., q_max by pendant deletion:
     P(Kite_{p,k}) = lambda*P(Kite_{p,k-1}) - P(Kite_{p,k-2}), starting from
     Kite_{p,0} = K_p and Kite_{p,-1} = K_{p-1}."""
-    if p < 1 or q < 0:
+    if p < 1 or q_max < 0:
         raise ValueError("p >= 1 and q >= 0 required")
-    prev = list(closed_form_complete(p - 1).coeffs) if p > 1 else [1]
-    cur = list(closed_form_complete(p).coeffs)
-    for _ in range(q):
-        nxt = [0] + cur
+    prev = closed_form_complete(p - 1).coeffs if p > 1 else (1,)
+    cur = closed_form_complete(p).coeffs
+    yield cur
+    for _ in range(q_max):
+        nxt = [0, *cur]
         for k, c in enumerate(prev):
             nxt[k] -= c
-        prev, cur = cur, nxt
-    return IntPolynomial(tuple(cur))
+        prev, cur = cur, tuple(nxt)
+        yield cur
 
 
-def closed_form_gc(p: int) -> IntPolynomial:
-    """Polynomial of K_p with two pendants on distinct clique vertices,
-    by pendant deletion: lambda*P(Kite_{p,1}) - P(Kite_{p-1,1}).
-
-    Expanding gives (lambda+1)**(p-3) times a degree-5 factor
-    lambda^5 + (3-p)lambda^4 + (1-2p)lambda^3 + (p-5)lambda^2
-    + (2p-3)lambda + (3-p).
-    """
-    if p < 3:
-        raise ValueError("p >= 3 required")
-    return kite_charpoly(p, 1).shift(1) - kite_charpoly(p - 1, 1)
+def kite_charpoly(p: int, q: int) -> IntPolynomial:
+    """The kite polynomial, the last term of :func:`kite_charpoly_series`."""
+    *_, coeffs = kite_charpoly_series(p, q)
+    return IntPolynomial(coeffs)
 
 
 def path_poly_a(n: int) -> IntPolynomial:

@@ -21,7 +21,7 @@ import sys
 from . import bounds as bounds_mod
 from . import das
 from .charpoly import are_cospectral, charpoly
-from .enumeration import EnumConstraints, cache_store, enumerate_graphs
+from .enumeration import EnumConstraints, cache_store, class_count, enumerate_graphs
 from .graph import (
     clique_number,
     encode_graph6,
@@ -150,12 +150,7 @@ def cmd_kite_census(args) -> int:
         f"n={r.n}: {r.kite_count} kites, {'all distinct' if r.all_distinct else 'COLLISION'}"
         for r in rows
     )
-    _print(
-        args,
-        json_payload=payload,
-        csv_rows=payload["rows"],
-        text=text or "no kites in range",
-    )
+    _print(args, json_payload=payload, csv_rows=payload["rows"], text=text or "no kites in range")
     return EXIT_OK if payload["all_distinct"] else EXIT_THEOREM_CONTRADICTED
 
 
@@ -208,33 +203,29 @@ def cmd_enumerate(args) -> int:
         n=args.n, edges=args.edges, connected_only=args.connected
     )
     graphs = list(enumerate_graphs(constraints))
+    # the classes walked must number Polya's count for the space
+    if not args.connected and len(graphs) != (expected := class_count(args.n, args.edges)):
+        raise ValueError(f"the walk yielded {len(graphs)} classes; Polya's count is {expected}")
     if args.cache_dir:
         cache_store(args.cache_dir, constraints, graphs)
     lines = [encode_graph6(g) for g in graphs]
-    _print(
-        args,
-        json_payload={"n": args.n, "count": len(lines), "graphs": lines},
-        csv_rows=[{"graph6": line} for line in lines],
-        text="\n".join(lines) if lines else "(none)",
-    )
+    payload = {"n": args.n, "count": len(lines), "graphs": lines}
+    text = "\n".join(lines) if lines else "(none)"
+    _print(args, json_payload=payload, csv_rows=[{"graph6": line} for line in lines], text=text)
     return EXIT_OK
 
 
 def cmd_lemma41_check(args) -> int:
-    checks = bounds_mod.verify_lemma41_inequality(args.max_p)
-    violations = [c for c in checks if not c.holds]
+    # only csv prints a row per case; json and text need the violations
+    cases, records = bounds_mod.verify_lemma41_inequality(args.max_p, every_case=args.format == "csv")
+    violations = [c for c in records if not c.holds]
     payload = {
         "max_p": args.max_p,
-        "checks": len(checks),
+        "checks": cases,
         "violations": [c.to_json() for c in violations],
     }
-    text = f"{len(checks)} inequality checks, {len(violations)} violations"
-    _print(
-        args,
-        json_payload=payload,
-        csv_rows=(c.to_json() for c in checks),
-        text=text,
-    )
+    text = f"{cases} inequality checks, {len(violations)} violations"
+    _print(args, json_payload=payload, csv_rows=(c.to_json() for c in records), text=text)
     return EXIT_OK if not violations else EXIT_THEOREM_CONTRADICTED
 
 

@@ -77,7 +77,6 @@ when a later candidate is tested, so the same candidates are skipped.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from collections import Counter
@@ -129,18 +128,18 @@ class EnumConstraints:
             )
 
     def key(self) -> str:
-        blob = json.dumps(asdict(self), sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return _sha256(json.dumps(asdict(self), sort_keys=True))[:16]
 
 
-def class_count(n: int, edges: int) -> int:
+def class_count(n: int, edges: int | None = None) -> int:
     """The number of isomorphism classes of graphs on ``n`` vertices with
-    ``edges`` edges, by Polya's theorem: the average over S_n of the
-    coefficient of x**edges in the product, over the cycles a permutation
-    induces on vertex pairs, of (1 + x**length).  Permutations of one cycle
-    type contribute alike, so the sum runs over the partitions of n."""
+    ``edges`` edges (any number when None), by Polya's theorem: the average
+    over S_n of the coefficient of x**edges (or the sum of all of them) in
+    the product, over the cycles a permutation induces on vertex pairs, of
+    (1 + x**length).  Permutations of one cycle type contribute alike, so
+    the sum runs over the partitions of n."""
     pairs = comb(n, 2)
-    if not 0 <= edges <= pairs:
+    if edges is not None and not 0 <= edges <= pairs:
         return 0
     total = 0
     for cycle_type in _integer_partitions(n, n):
@@ -158,7 +157,7 @@ def class_count(n: int, edges: int) -> int:
         for length in lengths:
             for k in range(pairs, length - 1, -1):
                 poly[k] += poly[k - length]
-        total += size * poly[edges]
+        total += size * (sum(poly) if edges is None else poly[edges])
     return total // factorial(n)
 
 
@@ -517,12 +516,13 @@ def enumerate_graphs(
 # -- on-disk graph6 cache -----------------------------------------------------
 
 
+def _sha256(text: str) -> str:
+    import hashlib  # only the cache hashes; loading libcrypto costs ~3.6 MB and ~5 ms
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def _checksum(lines: list[str]) -> str:
-    h = hashlib.sha256()
-    for line in lines:
-        h.update(line.encode())
-        h.update(b"\n")
-    return h.hexdigest()
+    return _sha256("".join(line + "\n" for line in lines))
 
 
 def _write_atomic(path: Path, text: str) -> None:

@@ -1,10 +1,12 @@
 import os
 import random
+from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
 
-from kitespec.charpoly import charpoly
+from kitespec.charpoly import charpoly, kite_charpoly
+from kitespec.das import CensusRow
 from kitespec.enumeration import CanonicalKey, canonical_form
 from kitespec.graph import Graph, from_edges, is_connected
 from kitespec.polynomial import IntPolynomial
@@ -116,6 +118,46 @@ def kite_charpoly_product(p: int, q: int) -> IntPolynomial:
     if q == 0:
         return complete(p)
     return a(q) * complete(p) - a(q - 1) * complete(p - 1)
+
+
+def closed_form_gc(p: int) -> IntPolynomial:
+    """Oracle: the polynomial of K_p with two pendants on distinct clique
+    vertices, (lambda + 1)**(p-3) times lambda^5 + (3-p)lambda^4
+    + (1-2p)lambda^3 + (p-5)lambda^2 + (2p-3)lambda + (3-p), multiplied out
+    with no pendant recurrence."""
+    quintic = IntPolynomial((3 - p, 2 * p - 3, p - 5, 1 - 2 * p, 3 - p, 1))
+    return IntPolynomial((1, 1)).pow(p - 3) * quintic
+
+
+def census_oracle(n_max: int) -> list[CensusRow]:
+    """Oracle for ``verify_theorem31``: one ``kite_charpoly(p, q)`` per kite,
+    order by order, each compared with the kites of that order before it."""
+    rows = []
+    for n in range(4, n_max + 1):
+        first, collisions = {}, []
+        for p in range(3, n):
+            coeffs = kite_charpoly(p, n - p).coeffs
+            if coeffs in first:
+                collisions.append((first[coeffs], (p, n - p)))
+            else:
+                first[coeffs] = (p, n - p)
+        rows.append(CensusRow(n, len(first) + len(collisions), not collisions, collisions))
+    return rows
+
+
+def lemma41_oracle(p_max: int) -> tuple[int, set[tuple[int, int, int]]]:
+    """Oracle for ``verify_lemma41_inequality``: each case (p, q, r) decided
+    as a Fraction comparison 2m(r-1)/r < (p-1 + 1/p^2 + 1/p^3)^2; returns
+    the number of cases and the set of violating (p, q, r)."""
+    cases, violations = 0, set()
+    for p in range(3, p_max + 1):
+        rhs = (p - 1 + Fraction(1, p**2) + Fraction(1, p**3)) ** 2
+        for q in range(1, p):
+            for r in range(2, p - 2 * q):
+                cases += 1
+                if not Fraction((p * p - p + 2 * q) * (r - 1), r) < rhs:
+                    violations.add((p, q, r))
+    return cases, violations
 
 
 # -- graph helpers and the pendant-deletion route, called only by tests ------

@@ -36,7 +36,7 @@ from kitespec.graph import (
 )
 from kitespec.polynomial import IntPolynomial, X
 
-from conftest import random_graph, spectrum_sane
+from conftest import extended, lemma41_oracle, random_graph, spectrum_sane
 
 
 class TestJacobi:
@@ -232,11 +232,13 @@ class TestSpectralCliqueBound:
 
 class TestInequalityVerification:
     def test_exhaustive_small(self):
-        checks = verify_lemma41_inequality(20)
-        assert checks and all(c.holds for c in checks)
+        cases, violations = verify_lemma41_inequality(20)
+        assert cases and violations == []
+        every, checks = verify_lemma41_inequality(20, every_case=True)
+        assert every == cases == len(checks) and all(c.holds for c in checks)
 
     def test_check_fields_exact(self):
-        checks = verify_lemma41_inequality(7)
+        _, checks = verify_lemma41_inequality(7, every_case=True)
         for c in checks:
             assert isinstance(c.lhs_squared, Fraction)
             assert isinstance(c.rhs_squared, Fraction)
@@ -244,7 +246,7 @@ class TestInequalityVerification:
             assert c.lhs_squared == Fraction(two_m * (c.r - 1), c.r)
 
     def test_json_round_trip(self):
-        c = verify_lemma41_inequality(5)[0]
+        c = verify_lemma41_inequality(5, every_case=True)[1][0]
         d = c.to_json()
         assert Fraction(d["lhs_squared"]) == c.lhs_squared
         assert d["holds"] is True
@@ -255,10 +257,23 @@ class TestInequalityVerification:
         assert list(d) == ["p", "q", "r", "lhs_squared", "rhs_squared", "holds"]
 
     def test_holds_is_the_fraction_comparison(self):
-        checks = verify_lemma41_inequality(50)
-        assert len(checks) == 8924
+        cases, checks = verify_lemma41_inequality(50, every_case=True)
+        assert cases == len(checks) == 8924
+        assert verify_lemma41_inequality(50) == (8924, [])
         for c in checks:
+            two_m = c.p * c.p - c.p + 2 * c.q
+            assert c.lhs_squared == Fraction(two_m * (c.r - 1), c.r)
             assert c.holds == (c.lhs_squared < c.rhs_squared)
+
+    def test_matches_fraction_oracle(self):
+        for p_max in range(3, 51):
+            cases, violations = verify_lemma41_inequality(p_max)
+            assert (cases, {(c.p, c.q, c.r) for c in violations}) == lemma41_oracle(p_max)
+
+    @extended
+    def test_matches_fraction_oracle_at_cap(self):
+        cases, violations = verify_lemma41_inequality(LEMMA41_P_MAX)
+        assert (cases, {(c.p, c.q, c.r) for c in violations}) == lemma41_oracle(LEMMA41_P_MAX)
 
     def test_pmax_capped(self):
         assert LEMMA41_P_MAX == 100

@@ -12,7 +12,6 @@ from kitespec.charpoly import (
     charpoly,
     charpoly_interpolated,
     closed_form_complete,
-    closed_form_gc,
     kite_charpoly,
     kite_u_closed_form,
     kite_u_identity_check,
@@ -34,6 +33,7 @@ from kitespec.polynomial import IntPolynomial, X, lagrange_integer
 
 from conftest import (
     charpoly_pendant_recursive,
+    closed_form_gc,
     coefficient_edge_count,
     coefficient_triangle_count,
     kite_charpoly_product,

@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -16,10 +18,12 @@ from kitespec.cli import (
     main,
 )
 import kitespec
-from kitespec import bounds
+from kitespec import bounds, cli
 from kitespec.charpoly import charpoly
 from kitespec.enumeration import EnumConstraints, cache_load
 from kitespec.graph import make_kite
+
+from conftest import lemma41_oracle
 
 
 def run(capsys, *argv):
@@ -209,6 +213,25 @@ class TestCensusAndVerify:
         assert code == EXIT_OK
         assert out == LEMMA41_CSV_P9
 
+    def test_lemma41_violation_exits_2_with_exact_fractions(self, capsys, monkeypatch):
+        # a right-hand side of 43/4 at p = 5 breaks its one case, 2m(r-1)/r = 11
+        real = bounds._lemma41_rhs_squared
+        monkeypatch.setattr(
+            bounds, "_lemma41_rhs_squared", lambda p: Fraction(43, 4) if p == 5 else real(p)
+        )
+        violation = {
+            "p": 5, "q": 1, "r": 2, "lhs_squared": "11", "rhs_squared": "43/4", "holds": False,
+        }
+        code, out, _ = run(capsys, "--format", "json", "lemma41-check", "--max-p", "9")
+        assert code == EXIT_THEOREM_CONTRADICTED
+        cases = lemma41_oracle(9)[0]
+        assert json.loads(out) == {"max_p": 9, "checks": cases, "violations": [violation]}
+        code, out, _ = run(capsys, "lemma41-check", "--max-p", "9")
+        assert (code, out) == (EXIT_THEOREM_CONTRADICTED, f"{cases} inequality checks, 1 violations\n")
+        code, out, _ = run(capsys, "--format", "csv", "lemma41-check", "--max-p", "9")
+        assert code == EXIT_THEOREM_CONTRADICTED
+        assert "5,1,2,11,43/4,False" in out.splitlines()
+
     def test_lemma41_check_over_cap_is_usage_error(self, capsys):
         code, out, err = run(capsys, "--format", "json", "lemma41-check", "--max-p", "101")
         assert code == EXIT_USAGE
@@ -311,6 +334,16 @@ class TestEnumerateCommand:
     def test_over_cap_is_usage_error(self, capsys):
         code, _, err = run(capsys, "enumerate", "--n", "15")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("extra", [[], ["--edges", "4"]])
+    def test_lost_class_fails_polya_check(self, capsys, monkeypatch, tmp_path, extra):
+        # a walk that drops its first graph is one class short of Polya's count
+        real = cli.enumerate_graphs
+        monkeypatch.setattr(cli, "enumerate_graphs", lambda c: islice(real(c), 1, None))
+        code, out, err = run(capsys, "--cache-dir", str(tmp_path), "enumerate", "--n", "5", *extra)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: ") and "Polya's count" in err
+        assert not any(tmp_path.iterdir())  # nothing was cached
 
     def test_reader_closing_the_pipe_early_is_no_error(self):
         # n = 8 prints about 135 KB, more than a pipe buffer holds, so the

@@ -3,7 +3,7 @@ from math import comb
 import pytest
 
 from kitespec import das
-from kitespec.charpoly import are_cospectral, charpoly
+from kitespec.charpoly import are_cospectral, charpoly, kite_charpoly
 from kitespec.das import (
     VERDICT_DAS,
     VERDICT_MATES,
@@ -30,7 +30,7 @@ from kitespec.graph import (
     triangle_count,
 )
 
-from conftest import extended
+from conftest import census_oracle, extended
 
 # graphs on n vertices with a cospectral mate (Haemers and Spence,
 # "Enumeration of cospectral graphs", 2004)
@@ -215,6 +215,17 @@ class TestKiteCensus:
     def test_cap(self):
         with pytest.raises(ValueError):
             verify_theorem31(31)
+
+    def test_rows_match_per_kite_oracle(self):
+        for n_max in range(-1, 31):
+            assert verify_theorem31(n_max) == census_oracle(n_max)
+
+    def test_edge_counts_separate_every_order(self):
+        # the lambda^{n-2} coefficient is -m, and m - n = p(p-3)/2 grows with p
+        for n in range(4, 31):
+            coeffs = [kite_charpoly(p, n - p)[n - 2] for p in range(3, n)]
+            assert coeffs == [-(n + p * (p - 3) // 2) for p in range(3, n)]
+            assert len(set(coeffs)) == len(coeffs)
 
 
 class TestExhaustiveChecks:

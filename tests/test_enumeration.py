@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
 from itertools import chain
@@ -388,6 +391,16 @@ class TestEnumeration:
             assert class_count(n, m) == sum(1 for _ in enumerate_graphs(EnumConstraints(n, edges=m)))
         assert sum(class_count(n, m) for m in range(comb(n, 2) + 1)) == ALL_COUNTS[n]
 
+    def test_class_count_matches_one_walk_n8(self):
+        by_edges = Counter(g.edge_count() for g in enumerate_graphs(EnumConstraints(8)))
+        assert by_edges == {m: class_count(8, m) for m in range(comb(8, 2) + 1)}
+        assert sum(by_edges.values()) == class_count(8) == 12346
+
+    @extended
+    def test_class_count_matches_enumeration_n10_m15(self):
+        assert class_count(10, 15) == 136433
+        assert sum(1 for _ in enumerate_graphs(EnumConstraints(10, edges=15))) == 136433
+
     @extended
     def test_class_count_matches_enumeration_n8_n9(self):
         for m in range(comb(8, 2) + 1):
@@ -524,6 +537,27 @@ class TestCache:
         assert (tmp_path / "n5").exists()
         second = enumerate_cached(cons, tmp_path)
         assert [encode_graph6(g) for g in first] == [encode_graph6(g) for g in second]
+
+    def test_hashlib_is_loaded_only_by_the_cache(self, tmp_path):
+        # the CLI and the mate search never hash; the cache imports hashlib itself
+        script = (
+            "import sys, kitespec.cli, kitespec.das\n"
+            "loaded = 'hashlib' in sys.modules\n"
+            "from kitespec.enumeration import EnumConstraints, cache_load, cache_store\n"
+            "from kitespec.enumeration import enumerate_graphs\n"
+            "cons = EnumConstraints(5, edges=4)\n"
+            "graphs = list(enumerate_graphs(cons))\n"
+            "cache_store(sys.argv[1], cons, graphs)\n"
+            "print(loaded, cache_load(sys.argv[1], cons) == graphs, len(graphs))\n"
+        )
+        src = os.path.dirname(os.path.dirname(enumeration.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout.split()) == (0, ["False", "True", "6"]), proc.stderr
 
     def test_read_through_recovers_from_corruption(self, tmp_path):
         cons = EnumConstraints(4)
