@@ -11,7 +11,7 @@ Usage:
 import argparse
 
 from kitespec.bounds import kite_radius_bounds, spectral_radius
-from kitespec.graph import make_kite
+from kitespec.graph import HARD_CAP, make_kite
 
 
 def main() -> None:
@@ -24,7 +24,7 @@ def main() -> None:
         lower, upper = kite_radius_bounds(p)
         print(f"p = {p}:  {lower:.10f} < rho < {upper:.10f}")
         for q in range(1, args.max_q + 1):
-            if p + q + 1 > 24:
+            if p + q > HARD_CAP:
                 break
             rho = spectral_radius(make_kite(p=p, q=q))
             margin = min(rho - lower, upper - rho)

@@ -6,13 +6,16 @@ evidence only.  Prints one row per (p, q) and exits 2 if any mate is found.
 
 Usage:
     python3 scripts/das_sweep.py [--max-order 9] [--workers 4]
+
+An order above DESK_ORDER_MAX (9) is rejected before any search starts,
+with exit code 1.
 """
 
 import argparse
 import sys
 import time
 
-from kitespec.das import VERDICT_DAS, conjecture43_evidence, verify_theorem42
+from kitespec.das import DESK_ORDER_MAX, VERDICT_DAS, conjecture43_evidence, verify_theorem42
 
 
 def main() -> int:
@@ -20,6 +23,10 @@ def main() -> int:
     ap.add_argument("--max-order", type=int, default=9, help="largest p + q to scan")
     ap.add_argument("--workers", type=int, default=4)
     args = ap.parse_args()
+    if args.max_order > DESK_ORDER_MAX:
+        print(f"error: --max-order {args.max_order} is past the desk-scale range "
+              f"p + q <= {DESK_ORDER_MAX}", file=sys.stderr)
+        return 1
 
     failures = 0
     print(f"{'p':>3} {'q':>3} {'n':>3} {'classes':>9} {'survivors':>9} "
@@ -28,8 +35,6 @@ def main() -> int:
         for q in range(2, args.max_order - p + 1):
             start = time.monotonic()
             if q == 2:
-                if not 3 <= p <= 7:
-                    continue
                 rep = verify_theorem42(p, workers=args.workers)
             else:
                 rep = conjecture43_evidence(p, q, workers=args.workers)

@@ -20,7 +20,6 @@ from .polynomial import IntPolynomial
 
 JACOBI_SWEEP_CAP = 100
 RADIUS_TOL = 1e-10
-CERT_MARGIN = 1e-9
 LEMMA41_P_MAX = 100
 
 
@@ -197,27 +196,6 @@ def kite_radius_bounds(p: int) -> tuple[float, float]:
     if not lower < upper:
         raise ValueError("p is too large for float bounds")
     return lower, upper
-
-
-def nikiforov_bound(m: int, r: int) -> float:
-    """Spectral-radius ceiling sqrt(2m(r-1)/r) for K_{r+1}-free graphs."""
-    if m < 0 or r < 1:
-        raise ValueError("m >= 0 and r >= 1 required")
-    return math.sqrt(2.0 * m * (r - 1) / r)
-
-
-def clique_lower_bound_spectral(g: Graph) -> int:
-    """Certified clique lower bound: 1 + the largest r with
-    rho(G) > sqrt(2m(r-1)/r) + margin; ties are not certified."""
-    if g.n == 0 or g.edge_count() == 0:
-        return 1 if g.n else 0
-    rho = spectral_radius(g)
-    m = g.edge_count()
-    best = 1
-    for r in range(1, g.n):
-        if rho > nikiforov_bound(m, r) + CERT_MARGIN:
-            best = r + 1
-    return best
 
 
 def kite_clique_bound(p: int, q: int) -> int:

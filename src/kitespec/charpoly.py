@@ -10,8 +10,9 @@ Two algorithmically independent routes are provided:
 Kites need no graph at all: :func:`kite_charpoly_series` applies the pendant
 rule P(G) = lambda*P(G - x1) - P(G - x1 - x2), for a pendant x1 with neighbour
 x2, along the path from the binomial closed form of P(K_p), one term per tail
-length.  It is the one owner of that recurrence: :func:`kite_charpoly` and
-the path polynomials (Kite_{1,n-1} = P_n) are read off it.
+length.  It is the one owner of that recurrence: :func:`kite_charpoly` is its
+last term, and the path polynomial P(P_n) is Kite_{1,n-1}.  The paper's
+lambda = u + 1/u closed form is a test oracle in ``tests/conftest.py``.
 
 All results are monic integer polynomials; cospectrality is decided only on
 these exact coefficient vectors, never on floating-point spectra.
@@ -19,7 +20,6 @@ these exact coefficient vectors, never on floating-point spectra.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 from operator import mul
 from typing import Iterator
@@ -131,64 +131,6 @@ def kite_charpoly(p: int, q: int) -> IntPolynomial:
     """The kite polynomial, the last term of :func:`kite_charpoly_series`."""
     *_, coeffs = kite_charpoly_series(p, q)
     return IntPolynomial(coeffs)
-
-
-def path_poly_a(n: int) -> IntPolynomial:
-    """n-th solution of a_n = lambda*a_{n-1} - a_{n-2} with a_0 = 1,
-    a_1 = lambda; equals the path polynomial P(P_n) for n >= 1, which is
-    the kite Kite_{1,n-1}."""
-    if n < 0:
-        raise ValueError("n >= 0 required")
-    return kite_charpoly(1, n - 1) if n else ONE
-
-
-# -- u-substitution identity ------------------------------------------------
-
-
-class SingularU(ValueError):
-    """u in {0, 1, -1} makes the 1 - u**2 denominators vanish."""
-
-
-def path_poly_u_value(n: int, u: Fraction) -> Fraction:
-    """Closed form a_n(u + 1/u) = u**-n * (1 - u**(2n+2)) / (1 - u**2)."""
-    u = Fraction(u)
-    if u in (0, 1, -1):
-        raise SingularU(f"singular u = {u}")
-    return u ** -n * (1 - u ** (2 * n + 2)) / (1 - u**2)
-
-
-def kite_u_closed_form(p: int, q: int, u: Fraction) -> Fraction:
-    """The compact kite closed form at lambda = u + 1/u:
-
-    u**-q * (1 + u + 1/u)**(p-2) / (1 - u**2)
-      * [(2-p)*(1 + 1/u - u**(2q+2) - u**(2q+3)) + (1/u**2 - u**(2q+4))]
-    """
-    u = Fraction(u)
-    if u in (0, 1, -1):
-        raise SingularU(f"singular u = {u}")
-    pre = u ** -q * (1 + u + 1 / u) ** (p - 2) / (1 - u**2)
-    bracket = (2 - p) * (1 + 1 / u - u ** (2 * q + 2) - u ** (2 * q + 3)) + (
-        u ** -2 - u ** (2 * q + 4)
-    )
-    return pre * bracket
-
-
-def kite_u_identity_check(p: int, q: int, u: Fraction) -> bool:
-    """With lambda = u + 1/u, compare the compact closed form against the
-    exact kite polynomial evaluated at lambda; also re-check the a_n closed
-    form at n = q and n = q + 1. All arithmetic is exact rational."""
-    if p < 3 or q < 1:
-        raise ValueError("p >= 3 and q >= 1 required")
-    u = Fraction(u)
-    if u in (0, 1, -1):
-        raise SingularU(f"singular u = {u}")
-    lam = u + 1 / u
-    for n in (q, q + 1):
-        recur = path_poly_a(n)(lam)
-        if recur != path_poly_u_value(n, u):
-            return False
-    direct = kite_charpoly(p, q)(lam)
-    return direct == kite_u_closed_form(p, q, u)
 
 
 # -- cospectrality and walks -------------------------------------------------

@@ -1,6 +1,5 @@
 """Spectral-determination searches: cospectral-mate hunting over exhaustive
-isomorph-free spaces, the kite pairwise-distinctness census, and the
-endgame candidate-triple comparison.
+isomorph-free spaces, and the kite pairwise-distinctness census.
 
 A mate search fixes everything the spectrum fixes at the chosen order
 (vertex count and edge count), enumerates one representative per isomorphism
@@ -31,14 +30,15 @@ from math import comb
 # kite_charpoly is unused here, but the benchmark's tracer wraps ``das.kite_charpoly``
 from .charpoly import charpoly, kite_charpoly, kite_charpoly_series, walk_count  # noqa: F401
 from .graph import (
-    Graph, KiteParams, _trusted_graph, decode_graph6, encode_graph6, make_gb, make_gc, make_kite,
-    triangle_count,
+    Graph, KiteParams, _trusted_graph, decode_graph6, encode_graph6, make_kite, triangle_count,
 )
 from .enumeration import EnumConstraints, canonical_form, class_count, enumerate_graphs
 
 VERDICT_DAS = "DAS-confirmed-at-scale"
 VERDICT_MATES = "mates-found"
 VERDICT_NOT_RUN = "not-run"
+# the largest order p + q a kite search takes: 10120 classes for Kite_{7,2}
+DESK_ORDER_MAX = 9
 
 
 class SearchInvariantError(RuntimeError):
@@ -218,39 +218,12 @@ def conjecture43_evidence(p: int, q: int, workers: int = 1) -> SearchReport:
     """Same search for q > 2; the verdict is evidence only, never a proof."""
     if q <= 2 or p < 3:
         raise ValueError("evidence mode needs p >= 3 and q > 2")
-    if p + q > 9:
-        raise ValueError("desk-scale range is p + q <= 9")
+    if p + q > DESK_ORDER_MAX:
+        raise ValueError(f"desk-scale range is p + q <= {DESK_ORDER_MAX}")
     target = make_kite(p=p, q=q)
     return find_cospectral_mates(
         target,
         target_params=KiteParams(p, q),
         workers=workers,
         claim="evidence",
-    )
-
-
-@dataclass
-class TripleCheck:
-    p: int
-    poly_kite: list[str]
-    poly_two_pendants_one_vertex: list[str]
-    poly_two_pendants_two_vertices: list[str]
-    all_distinct: bool
-
-
-def candidate_triple_check(p: int) -> TripleCheck:
-    """Compare the three candidate graphs left at the end of the DAS
-    argument: the kite itself, K_p with a cherry on one clique vertex, and
-    K_p with pendants on two distinct clique vertices."""
-    if p < 3:
-        raise ValueError("p >= 3 required")
-    pa = charpoly(make_kite(p=p, q=2))
-    pb = charpoly(make_gb(p))
-    pc = charpoly(make_gc(p))
-    return TripleCheck(
-        p,
-        pa.to_json(),
-        pb.to_json(),
-        pc.to_json(),
-        pa != pb and pa != pc and pb != pc,
     )

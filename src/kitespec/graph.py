@@ -142,19 +142,6 @@ def make_complete(n: int) -> Graph:
     return from_edges(n, _clique_edges(n))
 
 
-def make_cycle(n: int) -> Graph:
-    if n < 3:
-        raise GraphError("cycle needs n >= 3")
-    return from_edges(n, ((i, (i + 1) % n) for i in range(n)))
-
-
-def make_star(leaves: int) -> Graph:
-    """K_{1,leaves}: hub is vertex 0."""
-    if leaves < 0:
-        raise GraphError("star needs leaves >= 0")
-    return from_edges(leaves + 1, ((0, k) for k in range(1, leaves + 1)))
-
-
 def make_knm(n: int, m: int) -> Graph:
     """K_{n-m} with m pendant edges attached to one clique vertex.
 

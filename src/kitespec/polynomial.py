@@ -113,7 +113,6 @@ class IntPolynomial:
         return " ".join(parts)
 
 
-X = IntPolynomial((0, 1))
 ONE = IntPolynomial((1,))
 
 

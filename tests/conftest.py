@@ -1,3 +1,4 @@
+import math
 import os
 import random
 from fractions import Fraction
@@ -5,10 +6,11 @@ from itertools import permutations, product
 
 import pytest
 
+from kitespec.bounds import spectral_radius
 from kitespec.charpoly import charpoly, kite_charpoly
 from kitespec.das import CensusRow
 from kitespec.enumeration import CanonicalKey, canonical_form
-from kitespec.graph import Graph, from_edges, is_connected
+from kitespec.graph import Graph, GraphError, from_edges, is_connected
 from kitespec.polynomial import IntPolynomial
 
 
@@ -102,22 +104,16 @@ def coefficient_triangle_count(poly: IntPolynomial) -> int:
 
 def kite_charpoly_product(p: int, q: int) -> IntPolynomial:
     """Oracle: a_q*P(K_p) - a_{q-1}*P(K_{p-1}), with P(K_p) multiplied out
-    as (lambda - p + 1)*(lambda + 1)**(p-1) and a_k from its own recurrence,
-    so it shares no code with ``kite_charpoly``."""
+    as (lambda - p + 1)*(lambda + 1)**(p-1) and a_k from ``path_poly``, so
+    it shares no code with ``kite_charpoly``."""
     def complete(k):
         return IntPolynomial((1 - k, 1)) * IntPolynomial((1, 1)).pow(k - 1)
 
-    def a(k):  # a_k = lambda*a_{k-1} - a_{k-2}, a_0 = 1, a_1 = lambda
-        prev, cur = IntPolynomial((1,)), IntPolynomial((0, 1))
-        for _ in range(k):
-            prev, cur = cur, cur.shift(1) - prev
-        return prev
-
     if p == 1:
-        return a(q + 1)
+        return path_poly(q + 1)
     if q == 0:
         return complete(p)
-    return a(q) * complete(p) - a(q - 1) * complete(p - 1)
+    return path_poly(q) * complete(p) - path_poly(q - 1) * complete(p - 1)
 
 
 def closed_form_gc(p: int) -> IntPolynomial:
@@ -160,7 +156,103 @@ def lemma41_oracle(p_max: int) -> tuple[int, set[tuple[int, int, int]]]:
     return cases, violations
 
 
+# -- the paper's proof steps ------------------------------------------------
+
+X = IntPolynomial((0, 1))
+
+
+def path_poly(n: int) -> IntPolynomial:
+    """a_n = lambda*a_{n-1} - a_{n-2} with a_0 = 1, a_1 = lambda, which is
+    P(P_n) for n >= 1; its own loop, so it shares no code with
+    ``kite_charpoly_series``."""
+    prev, cur = IntPolynomial((1,)), X
+    for _ in range(n):
+        prev, cur = cur, cur.shift(1) - prev
+    return prev
+
+
+def _regular_u(u) -> Fraction:
+    """u as a Fraction; u in {0, 1, -1} makes the 1 - u**2 denominators vanish."""
+    u = Fraction(u)
+    if u in (0, 1, -1):
+        raise ValueError(f"singular u = {u}")
+    return u
+
+
+def path_poly_u_value(n: int, u) -> Fraction:
+    """Closed form a_n(u + 1/u) = u**-n * (1 - u**(2n+2)) / (1 - u**2)."""
+    u = _regular_u(u)
+    return u ** -n * (1 - u ** (2 * n + 2)) / (1 - u**2)
+
+
+def kite_u_closed_form(p: int, q: int, u) -> Fraction:
+    """The paper's compact kite closed form at lambda = u + 1/u:
+
+    u**-q * (1 + u + 1/u)**(p-2) / (1 - u**2)
+      * [(2-p)*(1 + 1/u - u**(2q+2) - u**(2q+3)) + (1/u**2 - u**(2q+4))]
+    """
+    u = _regular_u(u)
+    pre = u ** -q * (1 + u + 1 / u) ** (p - 2) / (1 - u**2)
+    bracket = (2 - p) * (1 + 1 / u - u ** (2 * q + 2) - u ** (2 * q + 3)) + (
+        u ** -2 - u ** (2 * q + 4)
+    )
+    return pre * bracket
+
+
+def kite_u_identity_check(p: int, q: int, u) -> bool:
+    """With lambda = u + 1/u, compare the compact closed form against the
+    package's ``kite_charpoly`` evaluated at lambda; also re-check the a_n
+    closed form at n = q and n = q + 1. All arithmetic is exact rational."""
+    if p < 3 or q < 1:
+        raise ValueError("p >= 3 and q >= 1 required")
+    u = _regular_u(u)
+    lam = u + 1 / u
+    if any(path_poly(n)(lam) != path_poly_u_value(n, u) for n in (q, q + 1)):
+        return False
+    return kite_charpoly(p, q)(lam) == kite_u_closed_form(p, q, u)
+
+
+# Nikiforov's bound, the step behind the kite clique bound w(G) >= p - 2q + 1:
+# a K_{r+1}-free graph with m edges has rho <= sqrt(2m(r-1)/r).  rho is a
+# float, so a bound is certified only when rho clears it by CERT_MARGIN.
+CERT_MARGIN = 1e-9
+
+
+def nikiforov_bound(m: int, r: int) -> float:
+    """Spectral-radius ceiling sqrt(2m(r-1)/r) for K_{r+1}-free graphs."""
+    if m < 0 or r < 1:
+        raise ValueError("m >= 0 and r >= 1 required")
+    return math.sqrt(2.0 * m * (r - 1) / r)
+
+
+def clique_lower_bound_spectral(g: Graph) -> int:
+    """Certified clique lower bound: 1 + the largest r with
+    rho(G) > sqrt(2m(r-1)/r) + margin; ties are not certified."""
+    if g.n == 0 or g.edge_count() == 0:
+        return 1 if g.n else 0
+    rho = spectral_radius(g)
+    m = g.edge_count()
+    best = 1
+    for r in range(1, g.n):
+        if rho > nikiforov_bound(m, r) + CERT_MARGIN:
+            best = r + 1
+    return best
+
+
 # -- graph helpers and the pendant-deletion route, called only by tests ------
+
+
+def make_cycle(n: int) -> Graph:
+    if n < 3:
+        raise GraphError("cycle needs n >= 3")
+    return from_edges(n, ((i, (i + 1) % n) for i in range(n)))
+
+
+def make_star(leaves: int) -> Graph:
+    """K_{1,leaves}: hub is vertex 0."""
+    if leaves < 0:
+        raise GraphError("star needs leaves >= 0")
+    return from_edges(leaves + 1, ((0, k) for k in range(1, leaves + 1)))
 
 
 def edge_list(g: Graph) -> list[tuple[int, int]]:

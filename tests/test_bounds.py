@@ -8,17 +8,14 @@ from hypothesis import given, settings, strategies as st
 from kitespec import bounds
 from kitespec.bounds import (
     _poly_div_exact,
-    CERT_MARGIN,
     LEMMA41_P_MAX,
     RADIUS_TOL,
     InequalityCheck,
-    clique_lower_bound_spectral,
     eigenvalues,
     jacobi_eigenvalues,
     kite_clique_bound,
     kite_radius_bounds,
     largest_root,
-    nikiforov_bound,
     spectral_radius,
     sturm_chain,
     sturm_count_above,
@@ -29,14 +26,22 @@ from kitespec.graph import (
     clique_number,
     from_edges,
     make_complete,
-    make_cycle,
     make_kite,
     make_path,
-    make_star,
 )
-from kitespec.polynomial import IntPolynomial, X
+from kitespec.polynomial import IntPolynomial
 
-from conftest import extended, lemma41_oracle, random_graph, spectrum_sane
+from conftest import (
+    X,
+    clique_lower_bound_spectral,
+    extended,
+    lemma41_oracle,
+    make_cycle,
+    make_star,
+    nikiforov_bound,
+    random_graph,
+    spectrum_sane,
+)
 
 
 class TestJacobi:

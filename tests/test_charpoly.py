@@ -6,37 +6,36 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kitespec.charpoly import (
-    SingularU,
     are_cospectral,
     bareiss_det,
     charpoly,
     charpoly_interpolated,
     closed_form_complete,
     kite_charpoly,
-    kite_u_closed_form,
-    kite_u_identity_check,
-    path_poly_a,
-    path_poly_u_value,
     walk_count,
 )
 from kitespec.graph import (
     from_edges,
     make_complete,
-    make_cycle,
     make_gc,
     make_kite,
     make_path,
-    make_star,
     triangle_count,
 )
-from kitespec.polynomial import IntPolynomial, X, lagrange_integer
+from kitespec.polynomial import IntPolynomial, lagrange_integer
 
 from conftest import (
+    X,
     charpoly_pendant_recursive,
     closed_form_gc,
     coefficient_edge_count,
     coefficient_triangle_count,
     kite_charpoly_product,
+    kite_u_closed_form,
+    kite_u_identity_check,
+    make_star,
+    path_poly,
+    path_poly_u_value,
     random_graph,
 )
 
@@ -193,14 +192,17 @@ class TestClosedForms:
 
 
 class TestPathPolynomials:
+    """The oracle's own path recurrence, which the u-substitution check and
+    ``kite_charpoly_product`` rest on."""
+
     def test_base_cases(self):
-        assert path_poly_a(0).coeffs == (1,)
-        assert path_poly_a(1).coeffs == (0, 1)
-        assert path_poly_a(2).coeffs == (-1, 0, 1)
+        assert path_poly(0).coeffs == (1,)
+        assert path_poly(1).coeffs == (0, 1)
+        assert path_poly(2).coeffs == (-1, 0, 1)
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_matches_path_graph(self, n):
-        assert path_poly_a(n) == charpoly(make_path(n))
+        assert path_poly(n) == charpoly(make_path(n)) == kite_charpoly(1, n - 1)
 
     @given(
         st.integers(min_value=0, max_value=12),
@@ -209,11 +211,11 @@ class TestPathPolynomials:
     @settings(max_examples=200, deadline=None)
     def test_u_substitution(self, n, u):
         if u in (0, 1, -1):
-            with pytest.raises(SingularU):
+            with pytest.raises(ValueError):
                 path_poly_u_value(n, u)
         else:
             lam = u + Fraction(1, 1) / u
-            assert path_poly_u_value(n, u) == path_poly_a(n)(lam)
+            assert path_poly_u_value(n, u) == path_poly(n)(lam)
 
 
 class TestUClosedForm:
@@ -233,7 +235,7 @@ class TestUClosedForm:
 
     def test_singular_points_rejected(self):
         for u in (Fraction(0), Fraction(1), Fraction(-1)):
-            with pytest.raises(SingularU):
+            with pytest.raises(ValueError):
                 kite_u_closed_form(3, 1, u)
 
 

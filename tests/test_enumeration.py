@@ -34,13 +34,13 @@ from kitespec.graph import (
     from_edges,
     is_connected,
     make_complete,
-    make_cycle,
     make_kite,
     make_path,
-    make_star,
 )
 
-from conftest import brute_force_classes, brute_force_search, extended, random_graph, relabel
+from conftest import (
+    brute_force_classes, brute_force_search, extended, make_cycle, make_star, random_graph, relabel,
+)
 
 # isomorphism-class counts for simple graphs on n vertices (all / connected)
 ALL_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
