@@ -7,12 +7,14 @@ persisted and reused on later runs.
 
 Usage:
     python3 scripts/enumeration_census.py [--max-n 8] [--cache-dir DIR]
+
+An order above FULL_ENUM_CAP (9) is rejected before any walk starts.
 """
 
 import argparse
 import time
 
-from kitespec.enumeration import EnumConstraints, enumerate_cached
+from kitespec.enumeration import FULL_ENUM_CAP, EnumConstraints, enumerate_cached
 
 
 def main() -> None:
@@ -20,6 +22,8 @@ def main() -> None:
     ap.add_argument("--max-n", type=int, default=8)
     ap.add_argument("--cache-dir", default=None)
     args = ap.parse_args()
+    if args.max_n > FULL_ENUM_CAP:
+        ap.error(f"--max-n {args.max_n} is past the enumeration cap {FULL_ENUM_CAP}")
 
     print(f"{'n':>3} {'all':>8} {'connected':>10} {'seconds':>8}")
     for n in range(1, args.max_n + 1):

@@ -24,7 +24,7 @@ from math import comb
 from operator import mul
 from typing import Iterator
 
-from .graph import Graph
+from .graph import Graph, triangle_count
 from .polynomial import IntPolynomial, ONE, lagrange_integer
 
 
@@ -137,8 +137,10 @@ def kite_charpoly(p: int, q: int) -> IntPolynomial:
 
 
 def are_cospectral(g: Graph, h: Graph) -> bool:
-    """Exact coefficient-by-coefficient equality of characteristic polynomials."""
-    if g.n != h.n:
+    """Exact coefficient-by-coefficient equality of characteristic polynomials.
+    The order, the edge count (tr A^2 / 2) and the triangle count (tr A^3 / 6)
+    are spectral, so a pair that differs in one of them is decided first."""
+    if g.n != h.n or g.edge_count() != h.edge_count() or triangle_count(g) != triangle_count(h):
         return False
     return charpoly(g) == charpoly(h)
 

@@ -6,7 +6,9 @@ from itertools import permutations, product
 
 import pytest
 
-from kitespec.bounds import spectral_radius
+from kitespec.bounds import (
+    RADIUS_TOL, _poly_div_exact, _primitive, spectral_radius, sturm_chain, sturm_count_above,
+)
 from kitespec.charpoly import charpoly, kite_charpoly
 from kitespec.das import CensusRow
 from kitespec.enumeration import CanonicalKey, canonical_form
@@ -141,19 +143,47 @@ def census_oracle(n_max: int) -> list[CensusRow]:
     return rows
 
 
-def lemma41_oracle(p_max: int) -> tuple[int, set[tuple[int, int, int]]]:
+def lemma41_oracle(p_max: int, rhs_squared=None) -> tuple[int, set[tuple[int, int, int]]]:
     """Oracle for ``verify_lemma41_inequality``: each case (p, q, r) decided
-    as a Fraction comparison 2m(r-1)/r < (p-1 + 1/p^2 + 1/p^3)^2; returns
-    the number of cases and the set of violating (p, q, r)."""
+    as a Fraction comparison 2m(r-1)/r < (p-1 + 1/p^2 + 1/p^3)^2, or against
+    ``rhs_squared(p)`` when given; returns the number of cases and the set of
+    violating (p, q, r)."""
     cases, violations = 0, set()
     for p in range(3, p_max + 1):
-        rhs = (p - 1 + Fraction(1, p**2) + Fraction(1, p**3)) ** 2
+        if rhs_squared is None:
+            rhs = (p - 1 + Fraction(1, p**2) + Fraction(1, p**3)) ** 2
+        else:
+            rhs = rhs_squared(p)
         for q in range(1, p):
             for r in range(2, p - 2 * q):
                 cases += 1
                 if not Fraction((p * p - p + 2 * q) * (r - 1), r) < rhs:
                     violations.add((p, q, r))
     return cases, violations
+
+
+def largest_root_plain(poly: IntPolynomial) -> float:
+    """Oracle for ``bounds.largest_root``: the same Sturm-count bisection
+    with no bracket, every midpoint decided by its own Sturm count."""
+    chain = sturm_chain(poly)
+    gcd = chain[-1]
+    if gcd.degree > 0:
+        poly = _poly_div_exact(poly, _primitive(list(gcd.coeffs)))
+        chain = sturm_chain(poly)
+    bound = poly.degree + max((abs(c) for c in poly.coeffs[:-1]), default=0)
+    lo, hi = -(bound + 1), bound + 1
+    if sturm_count_above(chain, lo, 0) == 0:
+        raise ValueError("polynomial has no real root")
+    steps = max(1, math.ceil(math.log2(max(2 * (bound + 1) / RADIUS_TOL, 2))))
+    for k in range(1, steps + 1):
+        lo <<= 1
+        hi <<= 1
+        mid = (lo + hi) // 2
+        if sturm_count_above(chain, mid, k) >= 1:
+            lo = mid
+        else:
+            hi = mid
+    return hi / (1 << steps)
 
 
 # -- the paper's proof steps ------------------------------------------------

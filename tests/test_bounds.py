@@ -21,7 +21,7 @@ from kitespec.bounds import (
     sturm_count_above,
     verify_lemma41_inequality,
 )
-from kitespec.charpoly import charpoly
+from kitespec.charpoly import charpoly, kite_charpoly
 from kitespec.graph import (
     clique_number,
     from_edges,
@@ -34,7 +34,9 @@ from kitespec.polynomial import IntPolynomial
 from conftest import (
     X,
     clique_lower_bound_spectral,
+    edge_list,
     extended,
+    largest_root_plain,
     lemma41_oracle,
     make_cycle,
     make_star,
@@ -180,6 +182,113 @@ class TestSturm:
             )
 
 
+def disjoint_union(*graphs):
+    edges, offset = [], 0
+    for g in graphs:
+        edges += [(i + offset, j + offset) for i, j in edge_list(g)]
+        offset += g.n
+    return from_edges(offset, edges)
+
+
+def seeded_gnp_polys(rng, count=40, n_max=22):
+    return [charpoly(random_graph(rng, rng.randint(2, n_max), rng.choice([0.2, 0.5, 0.8])))
+            for _ in range(count)]
+
+
+def counting_sturm(monkeypatch) -> list[int]:
+    """Count the ``sturm_count_above`` calls that ``largest_root`` makes."""
+    calls = [0]
+    original = bounds.sturm_count_above
+
+    def counting(chain, num, k):
+        calls[0] += 1
+        return original(chain, num, k)
+
+    monkeypatch.setattr(bounds, "sturm_count_above", counting)
+    return calls
+
+
+class TestCertifiedBracket:
+    """``largest_root`` returns the plain bisection's float, bit for bit: the
+    float hint only chooses which exact Sturm counts bracket the root."""
+
+    def test_gnp_bit_identical(self, rng):
+        for poly in seeded_gnp_polys(rng):
+            assert largest_root(poly) == largest_root_plain(poly), poly
+
+    def test_kites_bit_identical(self):
+        for n in range(2, 25):
+            for p in range(1, n + 1):
+                poly = kite_charpoly(p, n - p)
+                assert largest_root(poly) == largest_root_plain(poly), (p, n - p)
+
+    def test_repeated_roots_bit_identical(self):
+        graphs = [make_path(n) for n in range(2, 25)] + [make_complete(n) for n in range(2, 25)]
+        graphs += [
+            disjoint_union(make_complete(4), make_complete(4)),
+            disjoint_union(make_path(5), make_path(5), make_path(5)),
+            disjoint_union(make_complete(6), make_path(7), make_cycle(6)),
+            disjoint_union(make_kite(5, 3), make_kite(5, 3), make_star(3)),
+            disjoint_union(make_cycle(8), make_cycle(8), make_cycle(8)),
+        ]
+        for g in graphs:
+            poly = charpoly(g)
+            assert largest_root(poly) == largest_root_plain(poly), edge_list(g)
+
+    @pytest.mark.parametrize("poly", [
+        X**2 - 2,
+        (X - 1) ** 3 * (X + 2),
+        X,
+        X**4,
+        (X**2 - 2) ** 2 * (X + 3),
+        7 * X**2 - 3,
+        X**5 + 2 * X**2 + 3,  # one real root, four complex ones
+        3 * X**3 - 7 * X + 10**30,
+    ])
+    def test_non_adjacency_bit_identical(self, poly):
+        assert largest_root(poly) == largest_root_plain(poly)
+
+    @pytest.mark.parametrize("poly", [X**4 + 1, X**2 + 1, IntPolynomial((5,))])
+    def test_no_real_root_raises_alike(self, poly):
+        with pytest.raises(ValueError, match="no real root"):
+            largest_root_plain(poly)
+        with pytest.raises(ValueError, match="no real root"):
+            largest_root(poly)
+
+    @pytest.mark.parametrize("wrong", [
+        lambda rho: rho + 1, lambda rho: rho - 1, lambda rho: math.nan,
+        lambda rho: math.inf, lambda rho: 0.0,
+    ], ids=["above", "below", "nan", "inf", "zero"])
+    def test_wrong_hint_keeps_the_bits(self, monkeypatch, rng, wrong):
+        polys = seeded_gnp_polys(rng, count=6) + [
+            kite_charpoly(7, 2), charpoly(make_complete(5)), X**2 - 2, (X - 1) ** 3 * (X + 2),
+        ]
+        for poly in polys:
+            rho = largest_root_plain(poly)
+            monkeypatch.setattr(bounds, "_root_hint", lambda poly: wrong(rho))
+            assert largest_root(poly) == rho, poly
+
+    def test_sturm_evaluations_capped(self, monkeypatch, rng):
+        # the plain bisection takes 60 here, so a silent fall back to it fails
+        calls = counting_sturm(monkeypatch)
+        for _ in range(5):
+            poly = charpoly(random_graph(rng, 22, 0.5))
+            calls[0] = 0
+            largest_root(poly)
+            assert calls[0] <= 16
+
+    def test_coefficients_past_the_float_range_give_no_hint(self):
+        assert math.isnan(bounds._root_hint(X**2 - 10**400))
+
+    def test_no_hint_is_the_plain_bisection(self, monkeypatch, rng):
+        poly = charpoly(random_graph(rng, 22, 0.5))
+        calls = counting_sturm(monkeypatch)
+        monkeypatch.setattr(bounds, "_root_hint", lambda poly: math.nan)
+        largest_root(poly)
+        bound = poly.degree + max(abs(c) for c in poly.coeffs[:-1])
+        assert calls[0] == 1 + math.ceil(math.log2(2 * (bound + 1) / RADIUS_TOL))
+
+
 class TestRadiusSandwich:
     @pytest.mark.parametrize("p", range(3, 13))
     def test_bounds_bracket_true_radius(self, p):
@@ -279,6 +388,25 @@ class TestInequalityVerification:
     def test_matches_fraction_oracle_at_cap(self):
         cases, violations = verify_lemma41_inequality(LEMMA41_P_MAX)
         assert (cases, {(c.p, c.q, c.r) for c in violations}) == lemma41_oracle(LEMMA41_P_MAX)
+
+    @pytest.mark.parametrize("top", [1, 2, 3, 4, 10])
+    def test_planted_rhs_breaks_the_top_cases(self, monkeypatch, top):
+        # a right side at p = 9 between the top-th and the next largest left
+        # side breaks exactly the top cases; the two largest are (1, 6), (1, 5)
+        lhs = sorted(Fraction((72 + 2 * q) * (r - 1), r) for q in (1, 2, 3) for r in range(2, 9 - 2 * q))
+        planted = (lhs[-top] + lhs[-top - 1]) / 2 if top < len(lhs) else Fraction(0)
+        real = bounds._lemma41_rhs_squared
+
+        def rhs_squared(p):
+            return planted if p == 9 else real(p)
+
+        monkeypatch.setattr(bounds, "_lemma41_rhs_squared", rhs_squared)
+        cases, violations = verify_lemma41_inequality(12)
+        found = {(c.p, c.q, c.r) for c in violations}
+        assert (cases, found) == lemma41_oracle(12, rhs_squared)
+        assert len(found) == min(top, len(lhs))
+        if top <= 2:
+            assert found <= {(9, 1, 6), (9, 1, 5)}
 
     def test_pmax_capped(self):
         assert LEMMA41_P_MAX == 100

@@ -5,6 +5,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kitespec import charpoly as charpoly_mod
 from kitespec.charpoly import (
     are_cospectral,
     bareiss_det,
@@ -37,6 +38,7 @@ from conftest import (
     path_poly,
     path_poly_u_value,
     random_graph,
+    relabel,
 )
 
 
@@ -264,6 +266,38 @@ class TestCospectrality:
 
     def test_different_orders_not_cospectral(self):
         assert not are_cospectral(make_path(3), make_path(4))
+
+    @pytest.mark.parametrize("g,h", [
+        # same order and triangle count, edge counts 3 and 2
+        (make_path(4), from_edges(4, [(0, 1), (1, 2)])),
+        # same order and edge count, triangle counts 1 and 0
+        (from_edges(4, [(0, 1), (1, 2), (0, 2)]), make_path(4)),
+        (make_kite(4, 2), from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3), (1, 4)])),
+    ])
+    def test_edge_or_triangle_count_decides_before_charpoly(self, monkeypatch, g, h):
+        def no_charpoly(_):
+            raise AssertionError("charpoly computed")
+
+        monkeypatch.setattr(charpoly_mod, "charpoly", no_charpoly)
+        assert g.n == h.n and (g.edge_count(), triangle_count(g)) != (h.edge_count(), triangle_count(h))
+        assert not are_cospectral(g, h)
+        assert not are_cospectral(h, g)
+
+    def test_agrees_with_charpoly_equality(self, rng):
+        star, mate = make_star(4), from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        pairs = [(star, mate), (mate, star)]
+        for _ in range(300):
+            n = rng.randint(1, 9)
+            g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
+            # a relabelled copy, a graph of about the same density, and any graph
+            perm = list(range(n))
+            rng.shuffle(perm)
+            pairs += [(g, relabel(g, perm)), (g, random_graph(rng, n, g.edge_count() / max(1, comb(n, 2)))),
+                      (g, random_graph(rng, rng.randint(1, 9)))]
+        verdicts = {are_cospectral(g, h) for g, h in pairs}
+        assert verdicts == {True, False}
+        for g, h in pairs:
+            assert are_cospectral(g, h) == (charpoly(g) == charpoly(h))
 
     def test_cospectral_iff_equal_walk_counts(self, rng):
         for _ in range(200):

@@ -298,10 +298,27 @@ class TestBoundsCommand:
         assert out == "" and err.startswith("error:")
 
     def test_violated_sandwich_contradicts_theorem(self, capsys, monkeypatch):
-        monkeypatch.setattr(bounds, "spectral_radius", lambda g: 100.0)
+        # the radius is the largest root of the kite polynomial
+        monkeypatch.setattr(bounds, "largest_root", lambda poly: 100.0)
         code, out, _ = run(capsys, "bounds", "--p", "5", "--q", "3")
         assert code == EXIT_THEOREM_CONTRADICTED
         assert "VIOLATED" in out
+
+
+def test_kite_radius_is_the_built_graphs(capsys):
+    # the CLI takes a kite's polynomial from the pendant recurrence; its radius
+    # is the float that Berkowitz on the built kite gives, bit for bit
+    for n in range(1, 25):
+        for p in range(1, n + 1):
+            q = n - p
+            rho = bounds.spectral_radius(make_kite(p, q))
+            code, out, _ = run(capsys, "--format", "json", "invariants", f"kite:{p},{q}")
+            assert code == EXIT_OK
+            assert json.loads(out)["spectral_radius"] == round(rho, 10), (p, q)
+            if p >= 3 and q >= 1:
+                code, out, _ = run(capsys, "--format", "json", "bounds", "--p", str(p), "--q", str(q))
+                assert code == EXIT_OK
+                assert json.loads(out)["spectral_radius"] == rho, (p, q)
 
 
 class TestEnumerateCommand:

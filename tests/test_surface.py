@@ -10,6 +10,7 @@ import ast
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -85,3 +86,12 @@ class TestScripts:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1
+
+    def test_census_rejects_an_order_past_the_cap_at_once(self):
+        start = time.monotonic()
+        proc = run_script("enumeration_census.py", "--max-n", "10")
+        assert time.monotonic() - start < 2
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert "past the enumeration cap 9" in proc.stderr
