@@ -1,7 +1,8 @@
 """Numerical spectra and the clique/spectral-radius bound machinery.
 
-The eigensolver is a plain cyclic Jacobi rotation scheme (symmetric input,
-unconditional convergence).  The spectral radius is additionally certified by
+The eigensolver reduces the symmetric adjacency matrix to tridiagonal form
+by Householder reflections and finds the eigenvalues by implicit-shift QL,
+O(n^3) work done once.  The spectral radius is additionally certified by
 Sturm-sequence bisection on the exact characteristic polynomial, so the
 headline quantity never depends on floating point alone.  The Sturm chain is
 built from integer pseudo-remainders and signs are taken at dyadic points by
@@ -12,6 +13,7 @@ only places a bracket that exact Sturm counts certify (``largest_root``).
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -19,7 +21,8 @@ from .charpoly import charpoly
 from .graph import Graph
 from .polynomial import IntPolynomial
 
-JACOBI_SWEEP_CAP = 100
+EPS = math.ulp(1.0)  # machine epsilon
+QL_STEP_CAP = 30  # per eigenvalue
 RADIUS_TOL = 1e-10
 NEWTON_CAP = 200
 LEMMA41_P_MAX = 100
@@ -29,40 +32,89 @@ class ConvergenceError(RuntimeError):
     pass
 
 
-def jacobi_eigenvalues(matrix: list[list[float]], tol: float = 1e-12) -> list[float]:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi sweeps, iterated
-    until the off-diagonal Frobenius norm drops below ``tol``."""
+def symmetric_eigenvalues(matrix: list[list[float]], tol: float = 1e-12) -> list[float]:
+    """Eigenvalues of a symmetric matrix, sorted descending: Householder
+    reduction to tridiagonal form, then implicit-shift QL on the tridiagonal
+    (Martin, Reinsch & Wilkinson; Bowdler, Martin, Reinsch & Wilkinson,
+    Numer. Math. 11, 1968).
+
+    QL sets an off-diagonal entry to zero once it is below EPS times the sum
+    of its two diagonal neighbours, so the values never depend on ``tol``:
+    they are the diagonal of a matrix orthogonally similar to A up to
+    rounding, and that rounding, the backward error of the reduction, is
+    of order n * EPS * ||A||_F.  A ``tol`` below that floor cannot be
+    met and raises ConvergenceError before any work is done; every ``tol``
+    above it is met.  An eigenvalue that needs more than QL_STEP_CAP QL
+    steps raises ConvergenceError too."""
     n = len(matrix)
     a = [[float(x) for x in row] for row in matrix]
-    for _ in range(JACOBI_SWEEP_CAP):
-        off = math.sqrt(sum(a[i][j] ** 2 for i in range(n) for j in range(n) if i != j))
-        if off < tol:
-            return sorted((a[i][i] for i in range(n)), reverse=True)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p][q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                for k in range(n):
-                    akp, akq = a[k][p], a[k][q]
-                    a[k][p] = c * akp - s * akq
-                    a[k][q] = s * akp + c * akq
-                for k in range(n):
-                    apk, aqk = a[p][k], a[q][k]
-                    a[p][k] = c * apk - s * aqk
-                    a[q][k] = s * apk + c * aqk
-    raise ConvergenceError(f"Jacobi did not converge in {JACOBI_SWEEP_CAP} sweeps")
+    floor = n * EPS * math.sqrt(sum(x * x for row in a for x in row))
+    if tol < floor:
+        raise ConvergenceError(f"tol {tol:g} is below n*eps*||A||_F = {floor:.2g}, "
+                               "more than float arithmetic can certify")
+    # Householder: reflect row k of the leading (k+1)-block onto its entry
+    # (k, k-1), then drop row and column k.  e[k] couples k-1 and k.
+    d, e = [0.0] * n, [0.0] * n
+    for k in range(n - 1, 0, -1):
+        x = a.pop()
+        d[k] = x.pop()
+        for row in a:
+            row.pop()
+        if not any(x[:-1]):  # already tridiagonal in this row
+            e[k] = x[-1]
+            continue
+        f, s = x[-1], math.hypot(*x)
+        e[k] = alpha = -math.copysign(s, f)
+        h = s * s - f * alpha  # v.v / 2 for v = x - alpha e_(k-1)
+        x[-1] = f - alpha
+        p = [sum(map(operator.mul, row, x)) / h for row in a]
+        half = sum(map(operator.mul, x, p)) / (2 * h)
+        q = [pi - half * vi for pi, vi in zip(p, x)]
+        # A - v q^T - q v^T, summed so that it stays exactly symmetric
+        a = [[r - (vi * qj + qi * vj) for r, vj, qj in zip(row, x, q)]
+             for row, vi, qi in zip(a, x, q)]
+    if a:
+        d[0] = a[0][0]
+    # implicit-shift QL; from here e[i] couples i and i+1
+    e = e[1:] + [0.0]
+    for l in range(n):
+        for step in range(QL_STEP_CAP + 1):
+            m = l
+            while m < n - 1 and abs(e[m]) > EPS * (abs(d[m]) + abs(d[m + 1])):
+                m += 1
+            if m == l:
+                break
+            if step == QL_STEP_CAP:
+                raise ConvergenceError(f"QL did not converge in {QL_STEP_CAP} steps")
+            g = (d[l + 1] - d[l]) / (2 * e[l])
+            g = d[m] - d[l] + e[l] / (g + math.copysign(math.hypot(g, 1.0), g))
+            s = c = 1.0
+            p = 0.0
+            for i in range(m - 1, l - 1, -1):
+                f, b = s * e[i], c * e[i]
+                e[i + 1] = r = math.hypot(f, g)
+                if r == 0.0:  # underflow: split the matrix here and start again
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    break
+                s, c = f / r, g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+            else:
+                d[l] -= p
+                e[l] = g
+                e[m] = 0.0
+    return sorted(d, reverse=True)
 
 
 def eigenvalues(g: Graph, tol: float = 1e-12) -> list[float]:
     """All adjacency eigenvalues, sorted descending."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    return jacobi_eigenvalues(g.adjacency_matrix(), tol)
+    return symmetric_eigenvalues(g.adjacency_matrix(), tol)
 
 
 # -- Sturm sequences ---------------------------------------------------------
@@ -164,6 +216,18 @@ def _root_hint(poly: IntPolynomial) -> float:
     return x
 
 
+def _bisection_steps(bound: int) -> int:
+    """Halvings that take (-(bound + 1), bound + 1] below RADIUS_TOL: the
+    float formula while it can be formed, so the step count and every bit of
+    the radius stay as they were; past the float range (bound from about
+    1e298) the same ceiling, taken exactly on integers."""
+    try:
+        return max(1, math.ceil(math.log2(max(2 * (bound + 1) / RADIUS_TOL, 2))))
+    except OverflowError:
+        num, den = RADIUS_TOL.as_integer_ratio()
+        return (-(-2 * (bound + 1) * den // num) - 1).bit_length()
+
+
 def largest_root(poly: IntPolynomial) -> float:
     """Largest real root, to within RADIUS_TOL, by Sturm-count bisection over
     dyadic rationals.  Raises ValueError when there is no real root.
@@ -189,7 +253,7 @@ def largest_root(poly: IntPolynomial) -> float:
     lo, hi = -(bound + 1), bound + 1  # all roots in (lo, hi]
     if sturm_count_above(chain, lo, 0) == 0:
         raise ValueError("polynomial has no real root")
-    steps = max(1, math.ceil(math.log2(max(2 * (bound + 1) / RADIUS_TOL, 2))))
+    steps = _bisection_steps(bound)
     # certified bracket (a, b] on the final grid: a root above a, none above b
     a, b = lo << steps, hi << steps
     hint = _root_hint(poly)

@@ -260,8 +260,11 @@ TOL_MAX = 1e-6  # eigenvalues are printed to six decimals
 def _tolerance(raw: str) -> float:
     """argparse type for ``--tol``: a float in (0, TOL_MAX].
 
-    The eigensolver stops once its off-diagonal norm is below the tolerance,
-    so a larger one (or ``inf``) returns eigenvalues wrong in printed digits.
+    The eigenvalues printed are the diagonal of a matrix, orthogonally
+    similar to A up to rounding, whose off-diagonal norm is below the
+    tolerance; a larger one (or ``inf``) would not vouch for the printed
+    digits.  A tolerance below the solver's rounding floor, n * eps * ||A||_F,
+    is refused with exit 1.
     """
     try:
         value = float(raw)
@@ -282,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
         "cospectrality, bounds, and exhaustive DAS verification.",
     )
     parser.add_argument("--cache-dir", default=None, help=f"graph cache directory (env {CACHE_DIR_ENV})")
-    parser.add_argument("--tol", type=_tolerance, default=1e-12, help="eigensolver tolerance")
+    parser.add_argument("--tol", type=_tolerance, default=1e-12, help="off-diagonal norm the spectrum must reach, in (0, 1e-6]")
     parser.add_argument("--workers", type=_positive(int), default=1, help="enumeration worker count")
     parser.add_argument("--format", choices=["json", "csv", "text"], default="text")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -10,20 +10,22 @@ from kitespec.bounds import (
     _poly_div_exact,
     LEMMA41_P_MAX,
     RADIUS_TOL,
+    ConvergenceError,
     InequalityCheck,
     eigenvalues,
-    jacobi_eigenvalues,
     kite_clique_bound,
     kite_radius_bounds,
     largest_root,
     spectral_radius,
     sturm_chain,
     sturm_count_above,
+    symmetric_eigenvalues,
     verify_lemma41_inequality,
 )
 from kitespec.charpoly import charpoly, kite_charpoly
 from kitespec.graph import (
     clique_number,
+    triangle_count,
     from_edges,
     make_complete,
     make_kite,
@@ -47,12 +49,15 @@ from conftest import (
 
 
 class TestJacobi:
+    """The symmetric eigensolver on matrices with known eigenvalues (the
+    class keeps its name so that the test ids stay stable)."""
+
     def test_known_2x2(self):
-        vals = jacobi_eigenvalues([[2.0, 1.0], [1.0, 2.0]])
+        vals = symmetric_eigenvalues([[2.0, 1.0], [1.0, 2.0]])
         assert sorted(vals) == pytest.approx([1.0, 3.0], abs=1e-12)
 
     def test_path3(self):
-        vals = sorted(jacobi_eigenvalues([[0, 1, 0], [1, 0, 1], [0, 1, 0]]))
+        vals = sorted(symmetric_eigenvalues([[0, 1, 0], [1, 0, 1], [0, 1, 0]]))
         r2 = math.sqrt(2)
         assert vals == pytest.approx([-r2, 0.0, r2], abs=1e-12)
 
@@ -67,6 +72,87 @@ class TestJacobi:
         for _ in range(60):
             g = random_graph(rng, rng.randint(1, 9))
             assert spectrum_sane(eigenvalues(g), g.edge_count())
+
+
+def disjoint_union(*graphs):
+    edges, offset = [], 0
+    for g in graphs:
+        edges += [(i + offset, j + offset) for i, j in edge_list(g)]
+        offset += g.n
+    return from_edges(offset, edges)
+
+
+def hard_spectra():
+    """Graphs at the n = 24 cap with repeated, zero or symmetric eigenvalues,
+    every kite on 24 vertices, and the smallest orders."""
+    yield from (make_complete(24), make_star(23), make_path(24), from_edges(24, []))
+    yield from_edges(24, [(i, j) for i in range(12) for j in range(12, 24)])  # K_{12,12}
+    yield disjoint_union(make_complete(12), make_complete(12))
+    yield from (make_kite(p, 24 - p) for p in range(1, 25))
+    yield from (make_complete(n) for n in (0, 1, 2))
+    yield from_edges(2, [])
+
+
+def eigen_cases(rng):
+    yield from hard_spectra()
+    for n in range(1, 25):
+        for p in (0.2, 0.5, 0.8):
+            yield random_graph(rng, n, p)
+
+
+class TestEigensolverOracles:
+    """Householder-QL against oracles that share no code with it."""
+
+    def test_matches_numpy(self, rng):
+        numpy = pytest.importorskip("numpy")
+        for g in eigen_cases(rng):
+            a = numpy.array(g.adjacency_matrix(), dtype=float).reshape(g.n, g.n)
+            want = sorted(numpy.linalg.eigvalsh(a).tolist(), reverse=True)
+            assert eigenvalues(g) == pytest.approx(want, abs=1e-10), edge_list(g)
+
+    def test_trace_identities(self, rng):
+        # tr A = 0, tr A^2 = 2m and tr A^3 = 6t, exactly
+        for g in eigen_cases(rng):
+            vals = eigenvalues(g)
+            assert len(vals) == g.n
+            assert vals == sorted(vals, reverse=True)
+            for power, want in enumerate([0, 2 * g.edge_count(), 6 * triangle_count(g)], 1):
+                assert sum(v**power for v in vals) == pytest.approx(want, abs=1e-9), edge_list(g)
+
+
+class TestTolerance:
+    def test_unreachable_tol_raises_before_any_work(self, monkeypatch):
+        def ran(*args):
+            raise AssertionError("the solver ran")
+
+        monkeypatch.setattr(math, "hypot", ran)
+        with pytest.raises(ConvergenceError, match="below"):
+            eigenvalues(make_complete(5), 1e-300)
+
+    def test_floor_is_n_eps_frobenius(self):
+        # K_24: 24 * eps * sqrt(552) is about 1.25e-13
+        k24 = make_complete(24)
+        with pytest.raises(ConvergenceError, match="below"):
+            eigenvalues(k24, 1e-13)
+        assert eigenvalues(k24, 2e-13) == eigenvalues(k24)
+        # an edgeless graph is diagonal already: any positive tol is met
+        assert eigenvalues(from_edges(3, []), 1e-300) == [0.0, 0.0, 0.0]
+
+    def test_values_do_not_depend_on_tol(self, rng):
+        for _ in range(10):
+            g = random_graph(rng, 20)
+            assert eigenvalues(g, 1e-6) == eigenvalues(g, 1e-12)
+
+    def test_nonpositive_tol_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            eigenvalues(make_path(3), 0.0)
+
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(bounds, "QL_STEP_CAP", 0)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            eigenvalues(make_path(3))
+        # a diagonal matrix needs no QL step
+        assert symmetric_eigenvalues([[1.0, 0.0], [0.0, 2.0]]) == [2.0, 1.0]
 
 
 class TestSturm:
@@ -173,21 +259,9 @@ class TestSturm:
         assert spectral_radius(from_edges(3, [])) == 0.0
 
     def test_jacobi_agrees_with_sturm(self, rng):
-        for _ in range(40):
-            g = random_graph(rng, rng.randint(2, 9))
-            if g.edge_count() == 0:
-                continue
-            assert max(eigenvalues(g)) == pytest.approx(
-                spectral_radius(g), abs=1e-8
-            )
-
-
-def disjoint_union(*graphs):
-    edges, offset = [], 0
-    for g in graphs:
-        edges += [(i + offset, j + offset) for i, j in edge_list(g)]
-        offset += g.n
-    return from_edges(offset, edges)
+        for g in eigen_cases(rng):
+            if g.n:
+                assert eigenvalues(g)[0] == pytest.approx(spectral_radius(g), abs=1e-10)
 
 
 def seeded_gnp_polys(rng, count=40, n_max=22):
@@ -287,6 +361,36 @@ class TestCertifiedBracket:
         largest_root(poly)
         bound = poly.degree + max(abs(c) for c in poly.coeffs[:-1])
         assert calls[0] == 1 + math.ceil(math.log2(2 * (bound + 1) / RADIUS_TOL))
+
+    def test_bound_past_the_float_range(self):
+        # the step count is taken on integers once 2 (bound + 1) / RADIUS_TOL
+        # leaves the floats; the bits of every smaller bound stay put
+        assert largest_root(X**2 - 10**400) == 1e200
+        assert largest_root(X**2 - 10**300) == 1e150
+        with pytest.raises(ValueError, match="no real root"):
+            largest_root(X**2 + 10**400)
+
+    def test_step_count(self):
+        # below the float limit the float formula, whose rounding can miss the
+        # ceiling by one (bound = num below), so that no radius moves; past it
+        # the fewest halvings s >= 1 with 2**s >= 2 (bound + 1) / RADIUS_TOL
+        def exact(bound):
+            ratio, s = Fraction(2 * (bound + 1)) / Fraction(RADIUS_TOL), 1
+            while 2**s < ratio:
+                s += 1
+            return s
+
+        def formula(bound):
+            return max(1, math.ceil(math.log2(max(2 * (bound + 1) / RADIUS_TOL, 2))))
+
+        num, _ = RADIUS_TOL.as_integer_ratio()
+        assert bounds._bisection_steps(num) == formula(num) == exact(num) - 1
+        # num * 2**j - 1 puts the ratio on a power of two and num * 2**j just
+        # above one, where a ceiling is off by one
+        edges = [num * 2**j + d for j in (0, 10, 100, 990, 1000, 1100) for d in (-1, 0)]
+        for bound in [10**e for e in range(0, 420, 7)] + [3 * 10**e + 7 for e in (5, 297, 305, 400)] + edges:
+            want = formula(bound) if bound < 10**297 else exact(bound)
+            assert bounds._bisection_steps(bound) == want, bound
 
 
 class TestRadiusSandwich:
