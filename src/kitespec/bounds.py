@@ -2,7 +2,8 @@
 
 The eigensolver reduces the symmetric adjacency matrix to tridiagonal form
 by Householder reflections and finds the eigenvalues by implicit-shift QL,
-O(n^3) work done once.  The spectral radius is additionally certified by
+O(n^3) work done once, deflating at machine precision: it takes no
+tolerance.  The spectral radius is additionally certified by
 Sturm-sequence bisection on the exact characteristic polynomial, so the
 headline quantity never depends on floating point alone.  The Sturm chain is
 built from integer pseudo-remainders and signs are taken at dyadic points by
@@ -32,26 +33,20 @@ class ConvergenceError(RuntimeError):
     pass
 
 
-def symmetric_eigenvalues(matrix: list[list[float]], tol: float = 1e-12) -> list[float]:
+def symmetric_eigenvalues(matrix: list[list[float]]) -> list[float]:
     """Eigenvalues of a symmetric matrix, sorted descending: Householder
     reduction to tridiagonal form, then implicit-shift QL on the tridiagonal
     (Martin, Reinsch & Wilkinson; Bowdler, Martin, Reinsch & Wilkinson,
     Numer. Math. 11, 1968).
 
     QL sets an off-diagonal entry to zero once it is below EPS times the sum
-    of its two diagonal neighbours, so the values never depend on ``tol``:
-    they are the diagonal of a matrix orthogonally similar to A up to
-    rounding, and that rounding, the backward error of the reduction, is
-    of order n * EPS * ||A||_F.  A ``tol`` below that floor cannot be
-    met and raises ConvergenceError before any work is done; every ``tol``
-    above it is met.  An eigenvalue that needs more than QL_STEP_CAP QL
-    steps raises ConvergenceError too."""
+    of its two diagonal neighbours, so the values are the diagonal of a
+    matrix orthogonally similar to A up to rounding; that rounding, the
+    backward error of the reduction, is of order n * EPS * ||A||_F.  An
+    eigenvalue that needs more than QL_STEP_CAP QL steps raises
+    ConvergenceError."""
     n = len(matrix)
     a = [[float(x) for x in row] for row in matrix]
-    floor = n * EPS * math.sqrt(sum(x * x for row in a for x in row))
-    if tol < floor:
-        raise ConvergenceError(f"tol {tol:g} is below n*eps*||A||_F = {floor:.2g}, "
-                               "more than float arithmetic can certify")
     # Householder: reflect row k of the leading (k+1)-block onto its entry
     # (k, k-1), then drop row and column k.  e[k] couples k-1 and k.
     d, e = [0.0] * n, [0.0] * n
@@ -110,11 +105,9 @@ def symmetric_eigenvalues(matrix: list[list[float]], tol: float = 1e-12) -> list
     return sorted(d, reverse=True)
 
 
-def eigenvalues(g: Graph, tol: float = 1e-12) -> list[float]:
+def eigenvalues(g: Graph) -> list[float]:
     """All adjacency eigenvalues, sorted descending."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return symmetric_eigenvalues(g.adjacency_matrix(), tol)
+    return symmetric_eigenvalues(g.adjacency_matrix())
 
 
 # -- Sturm sequences ---------------------------------------------------------

@@ -86,10 +86,11 @@ def cmd_charpoly(args) -> int:
 
 def cmd_spectrum(args) -> int:
     g, _ = parse_graph_spec(args.spec)
-    vals = [round(v, 12) for v in bounds_mod.eigenvalues(g, args.tol)]
+    # + 0.0 drops the sign the solver's last bits give a rounded zero
+    vals = [round(v, 12) + 0.0 for v in bounds_mod.eigenvalues(g)]
     _print(
         args,
-        json_payload={"spec": args.spec, "eigenvalues": vals, "tol": args.tol},
+        json_payload={"spec": args.spec, "eigenvalues": vals},
         csv_rows=[{"index": k, "eigenvalue": v} for k, v in enumerate(vals)],
         text=" ".join(f"{v:.6f}" for v in vals),
     )
@@ -254,27 +255,6 @@ def _positive(kind):
     return convert
 
 
-TOL_MAX = 1e-6  # eigenvalues are printed to six decimals
-
-
-def _tolerance(raw: str) -> float:
-    """argparse type for ``--tol``: a float in (0, TOL_MAX].
-
-    The eigenvalues printed are the diagonal of a matrix, orthogonally
-    similar to A up to rounding, whose off-diagonal norm is below the
-    tolerance; a larger one (or ``inf``) would not vouch for the printed
-    digits.  A tolerance below the solver's rounding floor, n * eps * ||A||_F,
-    is refused with exit 1.
-    """
-    try:
-        value = float(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {raw!r}") from None
-    if not 0 < value <= TOL_MAX:
-        raise argparse.ArgumentTypeError(f"must lie in (0, {TOL_MAX:g}], got {raw!r}")
-    return value
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process: ``parse_args`` keeps no state between
@@ -285,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
         "cospectrality, bounds, and exhaustive DAS verification.",
     )
     parser.add_argument("--cache-dir", default=None, help=f"graph cache directory (env {CACHE_DIR_ENV})")
-    parser.add_argument("--tol", type=_tolerance, default=1e-12, help="off-diagonal norm the spectrum must reach, in (0, 1e-6]")
     parser.add_argument("--workers", type=_positive(int), default=1, help="enumeration worker count")
     parser.add_argument("--format", choices=["json", "csv", "text"], default="text")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -170,7 +170,6 @@ class CensusRow:
     n: int
     kite_count: int
     all_distinct: bool
-    collisions: list[tuple[tuple[int, int], tuple[int, int]]]
 
 
 def verify_theorem31(n_max: int) -> list[CensusRow]:
@@ -183,15 +182,14 @@ def verify_theorem31(n_max: int) -> list[CensusRow]:
     whole polynomials, one pendant walk per clique size p."""
     if n_max > 30:
         raise ValueError("census capped at n_max <= 30")
-    rows = [CensusRow(n, 0, True, []) for n in range(4, n_max + 1)]
-    first: list[dict] = [{} for _ in rows]  # per order: coefficients -> first (p, q)
+    rows = [CensusRow(n, 0, True) for n in range(4, n_max + 1)]
+    seen: list[set] = [set() for _ in rows]  # per order: the coefficients met so far
     for p in range(3, n_max):
         for q, coeffs in enumerate(islice(kite_charpoly_series(p, n_max - p), 1, None), 1):
-            row, seen = rows[p + q - 4], first[p + q - 4].setdefault(coeffs, (p, q))
+            row, met = rows[p + q - 4], seen[p + q - 4]
             row.kite_count += 1
-            if seen != (p, q):
-                row.collisions.append((seen, (p, q)))
-                row.all_distinct = False
+            row.all_distinct &= coeffs not in met
+            met.add(coeffs)
     return rows
 
 
@@ -202,8 +200,8 @@ def verify_theorem42(p: int, workers: int = 1) -> SearchReport:
     the graphs with 2p - 1 edges; for p = 7 these are the 10120
     classes with 9 vertices and 13 edges, dealt to the workers by their
     parents on 8 vertices."""
-    if not 3 <= p <= 7:
-        raise ValueError("desk-scale range is 3 <= p <= 7")
+    if p < 3 or p + 2 > DESK_ORDER_MAX:
+        raise ValueError(f"desk-scale range is p >= 3 and p + 2 <= {DESK_ORDER_MAX}")
     target = make_kite(p=p, q=2)
     report = find_cospectral_mates(target, target_params=KiteParams(p, 2), workers=workers)
     if report.m != (p * p - p + 4) // 2 or report.t != comb(p, 3):

@@ -129,17 +129,11 @@ def closed_form_gc(p: int) -> IntPolynomial:
 
 def census_oracle(n_max: int) -> list[CensusRow]:
     """Oracle for ``verify_theorem31``: one ``kite_charpoly(p, q)`` per kite,
-    order by order, each compared with the kites of that order before it."""
+    order by order; an order is distinct when no two of its polynomials agree."""
     rows = []
     for n in range(4, n_max + 1):
-        first, collisions = {}, []
-        for p in range(3, n):
-            coeffs = kite_charpoly(p, n - p).coeffs
-            if coeffs in first:
-                collisions.append((first[coeffs], (p, n - p)))
-            else:
-                first[coeffs] = (p, n - p)
-        rows.append(CensusRow(n, len(first) + len(collisions), not collisions, collisions))
+        polys = [kite_charpoly(p, n - p).coeffs for p in range(3, n)]
+        rows.append(CensusRow(n, len(polys), len(set(polys)) == len(polys)))
     return rows
 
 

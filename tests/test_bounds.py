@@ -121,38 +121,16 @@ class TestEigensolverOracles:
 
 
 class TestTolerance:
-    def test_unreachable_tol_raises_before_any_work(self, monkeypatch):
-        def ran(*args):
-            raise AssertionError("the solver ran")
-
-        monkeypatch.setattr(math, "hypot", ran)
-        with pytest.raises(ConvergenceError, match="below"):
-            eigenvalues(make_complete(5), 1e-300)
-
-    def test_floor_is_n_eps_frobenius(self):
-        # K_24: 24 * eps * sqrt(552) is about 1.25e-13
-        k24 = make_complete(24)
-        with pytest.raises(ConvergenceError, match="below"):
-            eigenvalues(k24, 1e-13)
-        assert eigenvalues(k24, 2e-13) == eigenvalues(k24)
-        # an edgeless graph is diagonal already: any positive tol is met
-        assert eigenvalues(from_edges(3, []), 1e-300) == [0.0, 0.0, 0.0]
-
-    def test_values_do_not_depend_on_tol(self, rng):
-        for _ in range(10):
-            g = random_graph(rng, 20)
-            assert eigenvalues(g, 1e-6) == eigenvalues(g, 1e-12)
-
-    def test_nonpositive_tol_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            eigenvalues(make_path(3), 0.0)
+    """The solver's one failure mode (the class keeps its name so that the
+    test id stays stable)."""
 
     def test_step_cap_raises(self, monkeypatch):
         monkeypatch.setattr(bounds, "QL_STEP_CAP", 0)
         with pytest.raises(ConvergenceError, match="did not converge"):
             eigenvalues(make_path(3))
-        # a diagonal matrix needs no QL step
+        # a diagonal matrix, an edgeless graph's too, needs no QL step
         assert symmetric_eigenvalues([[1.0, 0.0], [0.0, 2.0]]) == [2.0, 1.0]
+        assert eigenvalues(from_edges(3, [])) == [0.0, 0.0, 0.0]
 
 
 class TestSturm:

@@ -1,7 +1,9 @@
 import csv
 import hashlib
 import io
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,12 +20,12 @@ from kitespec.cli import (
     main,
 )
 import kitespec
-from kitespec import bounds, cli
-from kitespec.charpoly import charpoly
+from kitespec import bounds, cli, das
+from kitespec.charpoly import charpoly, kite_charpoly
 from kitespec.enumeration import EnumConstraints, cache_load
-from kitespec.graph import make_kite
+from kitespec.graph import decode_graph6, encode_graph6, make_kite
 
-from conftest import lemma41_oracle
+from conftest import lemma41_oracle, random_graph
 
 
 def run(capsys, *argv):
@@ -43,7 +45,7 @@ class TestJsonSchema:
         "argv,keys",
         [
             (["charpoly", "kite:3,1"], {"spec", "coefficients"}),
-            (["spectrum", "complete:3"], {"spec", "eigenvalues", "tol"}),
+            (["spectrum", "complete:3"], {"spec", "eigenvalues"}),
             (["cospectral", "g6:DEo", "g6:Ds_"], {"a", "b", "cospectral"}),
             (
                 ["invariants", "kite:7,2"],
@@ -73,24 +75,11 @@ class TestJsonSchema:
 
 
 class TestGlobalFlags:
-    @pytest.mark.parametrize(
-        "flag", [["--tol", "0"], ["--tol", "-1e-9"], ["--workers", "0"]], ids=" ".join
-    )
+    @pytest.mark.parametrize("flag", [["--workers", "0"]], ids=" ".join)
     def test_nonpositive_is_usage_error(self, capsys, flag):
         code, out, _ = run(capsys, *flag, "spectrum", "path:3")
         assert code == EXIT_USAGE
         assert out == ""
-
-    @pytest.mark.parametrize(
-        "tol, spec", [("inf", "complete:3"), ("nan", "complete:3"), ("0.5", "kite:4,2")]
-    )
-    def test_tol_beyond_print_precision_is_usage_error(self, capsys, tol, spec):
-        # eigenvalues print to six decimals; a looser tolerance stops the
-        # eigensolver early and would print wrong digits with exit 0
-        code, out, err = run(capsys, "--tol", tol, "spectrum", spec)
-        assert code == EXIT_USAGE
-        assert out == ""
-        assert "--tol" in err
 
     def test_unknown_format_is_usage_error(self, capsys):
         code, out, err = run(capsys, "--format", "yaml", "spectrum", "path:3")
@@ -98,13 +87,9 @@ class TestGlobalFlags:
         assert out == ""
         assert "yaml" in err
 
-    def test_spectrum_reports_default_tol(self, capsys):
-        code, out, _ = run(capsys, "--format", "json", "spectrum", "path:3")
-        assert code == EXIT_OK
-        assert json.loads(out)["tol"] == 1e-12
-
-    def test_unreachable_tol_is_usage_error(self, capsys):
-        code, out, err = run(capsys, "--tol", "1e-300", "spectrum", "complete:5")
+    def test_convergence_error_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(bounds, "QL_STEP_CAP", 0)
+        code, out, err = run(capsys, "spectrum", "path:3")
         assert code == EXIT_USAGE
         assert out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
@@ -139,6 +124,25 @@ class TestSpectrumAndCospectral:
         code, out, _ = run(capsys, "--format", "json", "spectrum", "complete:3")
         vals = json.loads(out)["eigenvalues"]
         assert vals == pytest.approx([2.0, -1.0, -1.0], abs=1e-9)
+
+    def test_zero_prints_unsigned(self, capsys, rng):
+        # a zero eigenvalue comes out of the solver as +-tiny; the sign its
+        # last bits happen to give it must not reach any format
+        specs = ["knm:6,2", "gb:4", "g6:DEo"]
+        while len(specs) < 11:
+            g = random_graph(rng, rng.randint(4, 14))
+            if charpoly(g)[0] == 0:
+                specs.append(f"g6:{encode_graph6(g)}")
+        for spec in specs:
+            code, out, _ = run(capsys, "spectrum", spec)
+            assert code == EXIT_OK
+            assert "-0.000000" not in out.split(), spec
+            _, out, _ = run(capsys, "--format", "json", "spectrum", spec)
+            vals = json.loads(out)["eigenvalues"]
+            _, out, _ = run(capsys, "--format", "csv", "spectrum", spec)
+            vals += [float(row["eigenvalue"]) for row in csv.DictReader(io.StringIO(out))]
+            assert 0.0 in vals, spec
+            assert all(math.copysign(1.0, v) > 0 for v in vals if v == 0), spec
 
     def test_cospectral_pair(self, capsys):
         code, out, _ = run(capsys, "cospectral", "g6:DEo", "path:5")
@@ -189,6 +193,45 @@ class TestCensusAndVerify:
         assert code == EXIT_OK
         assert payload["verdict"] == "DAS-confirmed-at-scale"
         assert payload["mates"] == []
+
+    def test_planted_mate_exits_2(self, capsys, monkeypatch):
+        # a canonical form that never repeats passes every cospectral class,
+        # the kite's own included, off as a mate
+        keys = itertools.count()
+        monkeypatch.setattr(das, "canonical_form", lambda g: next(keys))
+        code, out, _ = run(capsys, "--format", "json", "das-verify", "--p", "3", "--q", "2")
+        payload = json.loads(out)
+        assert code == EXIT_THEOREM_CONTRADICTED
+        assert payload["verdict"] == das.VERDICT_MATES
+        mates = payload["mates"]
+        target = charpoly(make_kite(3, 2))
+        assert mates and all(charpoly(decode_graph6(m)) == target for m in mates)
+        code, out, _ = run(capsys, "das-verify", "--p", "3", "--q", "2")
+        assert code == EXIT_THEOREM_CONTRADICTED
+        assert out.endswith(f"verdict {das.VERDICT_MATES}, mates: {', '.join(mates)}\n")
+
+    def test_planted_collision_exits_2(self, capsys, monkeypatch):
+        # Kite_{4,2} given the polynomial of Kite_{3,3}, the other kite of order 6
+        real, twin = das.kite_charpoly_series, kite_charpoly(3, 3).coeffs
+
+        def planted(p, q_max):
+            for q, coeffs in enumerate(real(p, q_max)):
+                yield twin if (p, q) == (4, 2) else coeffs
+
+        monkeypatch.setattr(das, "kite_charpoly_series", planted)
+        code, out, _ = run(capsys, "kite-census", "--max-n", "7")
+        assert code == EXIT_THEOREM_CONTRADICTED
+        assert out.splitlines() == [
+            "n=4: 1 kites, all distinct",
+            "n=5: 2 kites, all distinct",
+            "n=6: 3 kites, COLLISION",
+            "n=7: 4 kites, all distinct",
+        ]
+        code, out, _ = run(capsys, "--format", "json", "kite-census", "--max-n", "7")
+        payload = json.loads(out)
+        assert code == EXIT_THEOREM_CONTRADICTED
+        assert payload["all_distinct"] is False
+        assert [row["all_distinct"] for row in payload["rows"]] == [True, True, False, True]
 
     def test_das_verify_evidence_claim(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "das-verify", "--p", "3", "--q", "3")
@@ -433,6 +476,7 @@ GOLDEN_ARGVS = (
         [],
         ["frobnicate"],
         ["--format", "yaml", "charpoly", "path:3"],
+        # --tol is no flag: each of these is refused with exit 1
         ["--tol", "0.5", "spectrum", "kite:4,2"],
         ["--tol", "0", "spectrum", "path:3"],
         ["--tol", "1e-300", "spectrum", "complete:5"],
@@ -442,7 +486,7 @@ GOLDEN_ARGVS = (
         ["spectrum"],
     ]
 )
-GOLDEN_SHA256 = "27a1ddb0fbc5a2a4b5807826509f2e342e80096e979a2bb1f9d44a6a75019875"
+GOLDEN_SHA256 = "136d76f1a78090b136e9cb0001dd1b2593457f5e77fe3ae8194f79233c5b2066"
 
 
 def test_golden_outputs(capsys, monkeypatch):

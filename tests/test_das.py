@@ -202,7 +202,6 @@ class TestKiteCensus:
     def test_distinct_through_n14(self):
         rows = verify_theorem31(14)
         assert rows and all(row.all_distinct for row in rows)
-        assert all(row.collisions == [] for row in rows)
 
     def test_kite_count_per_order(self):
         rows = {row.n: row for row in verify_theorem31(10)}
