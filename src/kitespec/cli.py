@@ -115,7 +115,7 @@ def cmd_invariants(args) -> int:
     m = g.edge_count()
     if not g.n:
         rho = None
-    elif kp is not None and m:
+    elif kp is not None:
         # the pendant recurrence owns a kite's polynomial: no Berkowitz
         rho = round(bounds_mod.largest_root(kite_charpoly(kp.p, kp.q)), 10)
     else:

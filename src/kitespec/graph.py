@@ -320,7 +320,8 @@ def parse_graph_spec(raw: str) -> tuple[Graph, KiteParams | None]:
 
     ``kite:p,q | path:n | complete:n | knm:n,m | gb:p | gc:p | g6:<string>``
 
-    Returns the graph and, for ``kite:p,q`` only, its kite parameters.
+    where an integer is an optional minus and ASCII digits.  Returns the
+    graph and, for ``kite:p,q`` only, its kite parameters.
     """
     if ":" not in raw:
         raise SpecParseError(raw, 0, "expected 'family:args'")
@@ -331,10 +332,11 @@ def parse_graph_spec(raw: str) -> tuple[Graph, KiteParams | None]:
         parts = tail.split(",")
         if len(parts) != count:
             raise SpecParseError(raw, argpos, f"{head} takes {count} integer argument(s)")
-        vals = []
-        pos = argpos
+        vals, pos = [], argpos
         for part in parts:
-            try:
+            try:  # int() alone takes ' 5', '1_0', '+5' and '٥', and raises past its digit limit
+                if not (part.isascii() and part.removeprefix("-").isdigit()):
+                    raise ValueError
                 vals.append(int(part))
             except ValueError:
                 raise SpecParseError(raw, pos, f"not an integer: {part!r}") from None

@@ -234,7 +234,10 @@ class TestSturm:
             assert spectral_radius(make_complete(p)) == pytest.approx(p - 1, abs=1e-10)
 
     def test_edgeless(self):
-        assert spectral_radius(from_edges(3, [])) == 0.0
+        # lambda^n goes through the search like any other polynomial
+        for n in range(1, 25):
+            rho = spectral_radius(from_edges(n, []))
+            assert rho == 0.0 and math.copysign(1.0, rho) == 1.0, n
 
     def test_jacobi_agrees_with_sturm(self, rng):
         for g in eigen_cases(rng):
@@ -296,6 +299,10 @@ class TestCertifiedBracket:
         7 * X**2 - 3,
         X**5 + 2 * X**2 + 3,  # one real root, four complex ones
         3 * X**3 - 7 * X + 10**30,
+        # roots on a grid point: bound + 1 = r + 2 is a power of two
+        X - 2,
+        X - 6,
+        X - 14,
     ])
     def test_non_adjacency_bit_identical(self, poly):
         assert largest_root(poly) == largest_root_plain(poly)
@@ -309,8 +316,8 @@ class TestCertifiedBracket:
 
     @pytest.mark.parametrize("wrong", [
         lambda rho: rho + 1, lambda rho: rho - 1, lambda rho: math.nan,
-        lambda rho: math.inf, lambda rho: 0.0,
-    ], ids=["above", "below", "nan", "inf", "zero"])
+        lambda rho: math.inf, lambda rho: 0.0, lambda rho: 1e300, lambda rho: -1e300,
+    ], ids=["above", "below", "nan", "inf", "zero", "far-above", "far-below"])
     def test_wrong_hint_keeps_the_bits(self, monkeypatch, rng, wrong):
         polys = seeded_gnp_polys(rng, count=6) + [
             kite_charpoly(7, 2), charpoly(make_complete(5)), X**2 - 2, (X - 1) ** 3 * (X + 2),
@@ -321,13 +328,15 @@ class TestCertifiedBracket:
             assert largest_root(poly) == rho, poly
 
     def test_sturm_evaluations_capped(self, monkeypatch, rng):
-        # the plain bisection takes 60 here, so a silent fall back to it fails
+        # one count for "a real root at all", then the two ends of the hint's
+        # cell when the hint is good; the plain bisection takes about 60
+        polys = seeded_gnp_polys(rng, count=60, n_max=24)
+        polys += [kite_charpoly(p, n - p) for n in range(2, 25) for p in range(1, n + 1)]
         calls = counting_sturm(monkeypatch)
-        for _ in range(5):
-            poly = charpoly(random_graph(rng, 22, 0.5))
+        for poly in polys:
             calls[0] = 0
             largest_root(poly)
-            assert calls[0] <= 16
+            assert calls[0] <= 4, poly
 
     def test_coefficients_past_the_float_range_give_no_hint(self):
         assert math.isnan(bounds._root_hint(X**2 - 10**400))

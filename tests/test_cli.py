@@ -196,9 +196,11 @@ class TestCensusAndVerify:
 
     def test_planted_mate_exits_2(self, capsys, monkeypatch):
         # a canonical form that never repeats passes every cospectral class,
-        # the kite's own included, off as a mate
+        # the kite's own included, off as a mate; the mate check, which would
+        # refuse the kite itself, is switched off to reach the exit-2 path
         keys = itertools.count()
         monkeypatch.setattr(das, "canonical_form", lambda g: next(keys))
+        monkeypatch.setattr(das, "_assert_mate_invariants", lambda target, mate_g6: None)
         code, out, _ = run(capsys, "--format", "json", "das-verify", "--p", "3", "--q", "2")
         payload = json.loads(out)
         assert code == EXIT_THEOREM_CONTRADICTED

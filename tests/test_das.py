@@ -1,3 +1,5 @@
+import itertools
+from collections import defaultdict
 from math import comb
 
 import pytest
@@ -28,7 +30,7 @@ from kitespec.graph import (
     triangle_count,
 )
 
-from conftest import census_oracle, extended, make_star
+from conftest import census_oracle, extended, make_star, relabel
 
 # graphs on n vertices with a cospectral mate (Haemers and Spence,
 # "Enumeration of cospectral graphs", 2004)
@@ -83,6 +85,34 @@ class TestMateSearch:
             _assert_mate_invariants(make_kite(p=4, q=2), encode_graph6(make_path(6)))
         c4_plus_k1 = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0)])
         _assert_mate_invariants(make_star(4), encode_graph6(c4_plus_k1))
+
+    def test_split_class_is_no_mate(self, monkeypatch):
+        # a canonical form that never repeats passes Kite_{3,2} itself off as
+        # a mate; the mate check decides isomorphism without it
+        keys = itertools.count()
+        monkeypatch.setattr(das, "canonical_form", lambda g: next(keys))
+        with pytest.raises(SearchInvariantError, match="fails the non-isomorphism check"):
+            verify_theorem42(3)
+
+    def test_isomorphism_search_accepts_relabellings(self, rng):
+        for n in range(1, 7):
+            for g in enumerate_graphs(EnumConstraints(n)):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                assert das._isomorphic(g, relabel(g, perm)), encode_graph6(g)
+
+    def test_isomorphism_search_separates_classes(self):
+        # distinct classes on n <= 6 that share a degree sequence
+        pairs = 0
+        for n in range(1, 7):
+            by_degrees = defaultdict(list)
+            for g in enumerate_graphs(EnumConstraints(n)):
+                by_degrees[tuple(g.degree_sequence())].append(g)
+            for graphs in by_degrees.values():
+                for g, h in itertools.combinations(graphs, 2):
+                    pairs += 1
+                    assert not das._isomorphic(g, h), (encode_graph6(g), encode_graph6(h))
+        assert pairs == 93
 
     def test_small_kites_have_no_mates(self):
         for p, q in [(3, 1), (3, 2), (4, 1), (4, 2), (5, 2)]:

@@ -224,12 +224,28 @@ class TestSpecGrammar:
         assert params == (KiteParams(4, 2) if raw.startswith("kite:") else None)
 
     @pytest.mark.parametrize(
-        "raw", ["kite", "kite:1", "kite:a,b", "blob:3", "knm:3,5", "g6:", "path:x"]
+        "raw", ["kite", "kite:1", "kite:a,b", "blob:3", "knm:3,5", "g6:", "path:x",
+                # int() takes these; the grammar's integers are -?[0-9]+
+                "path: 5", "path:1_0", "path:+5", "path:\u0665", "kite:3, 1", "path:5\n"]
     )
     def test_invalid_specs(self, raw):
         with pytest.raises(SpecParseError) as ei:
             parse_graph_spec(raw)
         assert ei.value.pos >= 0
+
+    @pytest.mark.parametrize("raw,pos", [
+        ("path: 5", 5), ("path:1_0", 5), ("path:+5", 5), ("path:\u0665", 5),
+        ("kite:3, 1", 7), ("path:5\n", 5), ("path:-", 5), ("path:" + "9" * 5000, 5),
+    ])
+    def test_integer_refused_at_its_part(self, raw, pos):
+        with pytest.raises(SpecParseError, match="not an integer") as ei:
+            parse_graph_spec(raw)
+        assert ei.value.pos == pos
+
+    def test_negative_order_keeps_the_constructors_message(self):
+        with pytest.raises(SpecParseError, match="complete graph needs n >= 0") as ei:
+            parse_graph_spec("complete:-1")
+        assert ei.value.pos == 9
 
 
 OVER_CAP_FAMILIES = [
