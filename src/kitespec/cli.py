@@ -322,7 +322,7 @@ def main(argv: list[str] | None = None) -> int:
     args.cache_dir = args.cache_dir or os.environ.get(CACHE_DIR_ENV)
     try:
         return args.func(args)
-    except (ValueError, bounds_mod.ConvergenceError) as exc:
+    except (ValueError, OSError, bounds_mod.ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import concurrent.futures
 import os
-from dataclasses import asdict, dataclass, field
-from itertools import islice
+from dataclasses import asdict, dataclass
+from itertools import chain, islice
 from math import comb
 
 # kite_charpoly is unused here, but the benchmark's tracer wraps ``das.kite_charpoly``
@@ -36,7 +36,6 @@ from .enumeration import EnumConstraints, canonical_form, class_count, enumerate
 
 VERDICT_DAS = "DAS-confirmed-at-scale"
 VERDICT_MATES = "mates-found"
-VERDICT_NOT_RUN = "not-run"
 # the largest order p + q a kite search takes: 10120 classes for Kite_{7,2}
 DESK_ORDER_MAX = 9
 
@@ -53,11 +52,11 @@ class SearchReport:
     m: int
     t: int
     space_description: str
-    classes_scanned: int = 0
-    prefilter_survivors: int = 0
-    mates: list[str] = field(default_factory=list)
-    verdict: str = VERDICT_NOT_RUN
-    claim: str = "exhaustive"
+    classes_scanned: int
+    prefilter_survivors: int
+    mates: list[str]
+    verdict: str
+    claim: str
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -112,38 +111,38 @@ def find_cospectral_mates(
     SearchInvariantError when the classes scanned differ from Polya's count
     or a reported mate fails a mate invariant."""
     n, m = target.n, target.edge_count()
-    report = SearchReport(
-        target=encode_graph6(target),
-        target_params=target_params,
-        n=n,
-        m=m,
-        t=triangle_count(target),
-        space_description=f"all graphs on {n} vertices with {m} edges, one per isomorphism class",
-        claim=claim,
-    )
+    target_g6 = encode_graph6(target)
     total = max(1, min(workers, os.cpu_count() or 1))
-    jobs = [(report.target, k, total) for k in range(total)]
+    jobs = [(target_g6, k, total) for k in range(total)]
     if total == 1:
         results = [_scan_partition(jobs[0])]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=total) as pool:
             results = list(pool.map(_scan_partition, jobs))
-    mates: list[str] = []
-    for scanned, survivors, part_mates in results:
-        report.classes_scanned += scanned
-        report.prefilter_survivors += survivors
-        mates.extend(part_mates)
+    scanned, survivors, part_mates = zip(*results)
+    classes_scanned = sum(scanned)
     expected = class_count(n, m)
-    if report.classes_scanned != expected:
+    if classes_scanned != expected:
         raise SearchInvariantError(
-            f"the search scanned {report.classes_scanned} classes; Polya's count for "
+            f"the search scanned {classes_scanned} classes; Polya's count for "
             f"{n} vertices and {m} edges is {expected}"
         )
-    report.mates = sorted(set(mates))
-    report.verdict = VERDICT_MATES if report.mates else VERDICT_DAS
-    for mate_g6 in report.mates:
+    mates = sorted(set(chain.from_iterable(part_mates)))
+    for mate_g6 in mates:
         _assert_mate_invariants(target, mate_g6)
-    return report
+    return SearchReport(
+        target=target_g6,
+        target_params=target_params,
+        n=n,
+        m=m,
+        t=triangle_count(target),
+        space_description=f"all graphs on {n} vertices with {m} edges, one per isomorphism class",
+        classes_scanned=classes_scanned,
+        prefilter_survivors=sum(survivors),
+        mates=mates,
+        verdict=VERDICT_MATES if mates else VERDICT_DAS,
+        claim=claim,
+    )
 
 
 def _isomorphic(g: Graph, h: Graph) -> bool:

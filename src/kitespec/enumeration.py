@@ -77,10 +77,9 @@ when a later candidate is tested, so the same candidates are skipped.
 
 from __future__ import annotations
 
-import json
 import os
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cache
 from itertools import chain
 from math import comb, factorial, gcd
@@ -100,7 +99,7 @@ class EnumerationError(ValueError):
 
 
 class CorruptCacheError(RuntimeError):
-    """Cache payload does not match its manifest checksum; re-enumerate."""
+    """A cache file does not match the checksum on its first line; re-enumerate."""
 
 
 @dataclass(frozen=True)
@@ -126,9 +125,6 @@ class EnumConstraints:
                 f"n={self.n} beyond enumeration cap ({cap} "
                 f"{'with' if self.edges is not None else 'without'} edge constraint)"
             )
-
-    def key(self) -> str:
-        return _sha256(json.dumps(asdict(self), sort_keys=True))[:16]
 
 
 def class_count(n: int, edges: int | None = None) -> int:
@@ -521,10 +517,6 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _checksum(lines: list[str]) -> str:
-    return _sha256("".join(line + "\n" for line in lines))
-
-
 def _write_atomic(path: Path, text: str) -> None:
     """Write through a temporary file and ``os.replace``, so a reader sees
     either the old file or the new one, never a partial write."""
@@ -537,37 +529,35 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
+def _cache_path(cache_dir: str | Path, constraints: EnumConstraints) -> Path:
+    c = constraints
+    edges = "" if c.edges is None else f"-e{c.edges}"
+    return Path(cache_dir) / f"n{c.n}{edges}{'-connected' if c.connected_only else ''}.g6"
+
+
 def cache_store(cache_dir: str | Path, constraints: EnumConstraints, graphs: Iterable[Graph]) -> Path:
-    """Persist a stream as graph6 lines plus a JSON manifest with a content
-    checksum; returns the payload path."""
-    base = Path(cache_dir) / f"n{constraints.n}"
-    base.mkdir(parents=True, exist_ok=True)
-    lines = [encode_graph6(g) for g in graphs]
-    payload = base / f"{constraints.key()}.g6"
-    _write_atomic(payload, "".join(line + "\n" for line in lines))
-    manifest = {"constraints": asdict(constraints), "count": len(lines), "checksum": _checksum(lines)}
-    _write_atomic(base / f"{constraints.key()}.json", json.dumps(manifest, indent=1))
-    return payload
+    """Persist a stream as one file, ``cache_dir / "n{n}[-e{edges}][-connected].g6"``:
+    the sha256 hex digest of the graph6 lines that follow it, then those
+    lines.  Returns the file's path."""
+    path = _cache_path(cache_dir, constraints)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    body = "".join(encode_graph6(g) + "\n" for g in graphs)
+    _write_atomic(path, f"{_sha256(body)}\n{body}")
+    return path
 
 
 def cache_load(cache_dir: str | Path, constraints: EnumConstraints) -> list[Graph]:
-    """Load a cached stream, verifying count and checksum; raises
-    CorruptCacheError on any mismatch or malformed manifest (never silently
-    reuses bad data)."""
-    base = Path(cache_dir) / f"n{constraints.n}"
-    payload = base / f"{constraints.key()}.g6"
-    manifest_path = base / f"{constraints.key()}.json"
-    if not payload.exists() or not manifest_path.exists():
-        raise FileNotFoundError(f"no cache entry for {constraints}")
+    """Load a stream that ``cache_store`` wrote; raises FileNotFoundError when
+    there is none, and CorruptCacheError when the file is not ASCII or its
+    first line is not the sha256 of the rest (never reuses bad data)."""
+    path = _cache_path(cache_dir, constraints)
     try:
-        manifest = json.loads(manifest_path.read_text())
-        count, checksum = manifest["count"], manifest["checksum"]
-        lines = payload.read_text().splitlines()
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CorruptCacheError(f"cache entry {manifest_path} is malformed: {exc!r}") from exc
-    if len(lines) != count or _checksum(lines) != checksum:
-        raise CorruptCacheError(f"cache entry {payload} fails verification")
-    return [decode_graph6(line) for line in lines]
+        checksum, _, body = path.read_text(encoding="ascii").partition("\n")
+    except UnicodeDecodeError as exc:
+        raise CorruptCacheError(f"cache entry {path} is not ASCII: {exc}") from exc
+    if checksum != _sha256(body):
+        raise CorruptCacheError(f"cache entry {path} fails verification")
+    return [decode_graph6(line) for line in body.splitlines()]
 
 
 def enumerate_cached(

@@ -390,8 +390,24 @@ class TestEnumerateCommand:
         flag_dir = tmp_path / "flag"
         monkeypatch.setenv(CACHE_DIR_ENV, str(env_dir))
         run(capsys, "--cache-dir", str(flag_dir), "enumerate", "--n", "3")
-        assert (flag_dir / "n3").exists()
+        assert (flag_dir / "n3.g6").exists()
         assert not env_dir.exists()
+
+    def test_unusable_cache_dir_is_usage_error(self, tmp_path):
+        # run as the user runs it, so an uncaught OSError would show as a traceback
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("")
+        src = os.path.dirname(os.path.dirname(kitespec.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = ["--cache-dir", str(not_a_dir), "enumerate", "--n", "3"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "kitespec", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
 
     def test_over_cap_is_usage_error(self, capsys):
         code, _, err = run(capsys, "enumerate", "--n", "15")

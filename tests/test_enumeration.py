@@ -487,34 +487,70 @@ class TestCache:
         cons = EnumConstraints(4)
         path = cache_store(tmp_path, cons, enumerate_graphs(cons))
         lines = path.read_text().splitlines()
-        lines[0] = encode_graph6(make_complete(4))
+        lines[1] = encode_graph6(make_complete(4))  # the first graph, below the checksum
         path.write_text("".join(line + "\n" for line in lines))
         with pytest.raises(CorruptCacheError):
             cache_load(tmp_path, cons)
 
-    def test_corrupt_manifest_detected(self, tmp_path):
+    def test_first_line_is_the_sha256_of_the_rest(self, tmp_path):
         cons = EnumConstraints(4)
         path = cache_store(tmp_path, cons, enumerate_graphs(cons))
-        manifest_path = path.with_suffix(".json")
-        manifest = json.loads(manifest_path.read_text())
-        manifest["count"] += 1
-        manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(CorruptCacheError):
-            cache_load(tmp_path, cons)
+        assert path == tmp_path / "n4.g6"
+        header, body = path.read_text().split("\n", 1)
+        assert header == hashlib.sha256(body.encode()).hexdigest()
+        assert body.splitlines() == [encode_graph6(g) for g in enumerate_graphs(cons)]
 
     @pytest.mark.parametrize(
-        "text",
-        ['{"count": 11, "checksum": "ab', '{"count": 11}', "[]", '{"count": [], "checksum": 5}'],
-        ids=["truncated", "missing-key", "not-an-object", "wrong-types"],
+        "damage",
+        [
+            lambda data: data[:32] + data[64:],  # the 64 hex digits cut to 32
+            lambda data: data.split(b"\n", 1)[1],
+            lambda data: b"",
+            lambda data: data.rsplit(b"\n", 2)[0] + b"\n",
+            lambda data: data[:-2] + b"\xff\n",
+        ],
+        ids=["truncated-checksum", "no-header", "empty", "dropped-line", "non-utf8"],
     )
-    def test_malformed_manifest_is_corrupt(self, tmp_path, text):
+    def test_damaged_file_is_corrupt(self, tmp_path, damage):
         cons = EnumConstraints(4)
         path = cache_store(tmp_path, cons, enumerate_graphs(cons))
-        path.with_suffix(".json").write_text(text)
+        path.write_bytes(damage(path.read_bytes()))
         with pytest.raises(CorruptCacheError):
             cache_load(tmp_path, cons)
         assert len(enumerate_cached(cons, tmp_path)) == ALL_COUNTS[4]
         assert len(cache_load(tmp_path, cons)) == ALL_COUNTS[4]
+
+    def test_each_space_has_its_own_file(self, tmp_path):
+        spaces = [
+            EnumConstraints(5),
+            EnumConstraints(5, edges=4),
+            EnumConstraints(5, connected_only=True),
+            EnumConstraints(5, edges=4, connected_only=True),
+        ]
+        paths = [cache_store(tmp_path, c, enumerate_graphs(c)) for c in spaces]
+        names = ["n5.g6", "n5-e4.g6", "n5-connected.g6", "n5-e4-connected.g6"]
+        assert [p.name for p in paths] == names
+        assert sorted(tmp_path.iterdir()) == sorted(paths)
+        for c in spaces:
+            stream = [encode_graph6(g) for g in enumerate_graphs(c)]
+            assert [encode_graph6(g) for g in cache_load(tmp_path, c)] == stream
+
+    def test_entry_under_the_old_hashed_name_is_ignored(self, tmp_path):
+        # an entry as an earlier layout wrote it: n4/<16 hex digits of the
+        # constraints' hash>.g6 beside a JSON manifest, here holding one graph
+        cons = EnumConstraints(4)
+        key = hashlib.sha256(
+            json.dumps({"connected_only": False, "edges": None, "n": 4}).encode()
+        ).hexdigest()[:16]
+        old = tmp_path / "n4" / f"{key}.g6"
+        old.parent.mkdir()
+        old.write_text("C?\n")
+        checksum = hashlib.sha256(b"C?\n").hexdigest()
+        old.with_suffix(".json").write_text(json.dumps({"count": 1, "checksum": checksum}))
+        with pytest.raises(FileNotFoundError):
+            cache_load(tmp_path, cons)
+        assert len(enumerate_cached(cons, tmp_path)) == ALL_COUNTS[4]
+        assert old.read_text() == "C?\n"
 
     def test_store_replaces_atomically(self, tmp_path, monkeypatch):
         cons = EnumConstraints(4)
@@ -534,7 +570,7 @@ class TestCache:
     def test_read_through(self, tmp_path):
         cons = EnumConstraints(5)
         first = enumerate_cached(cons, tmp_path)
-        assert (tmp_path / "n5").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["n5.g6"]
         second = enumerate_cached(cons, tmp_path)
         assert [encode_graph6(g) for g in first] == [encode_graph6(g) for g in second]
 
@@ -562,7 +598,8 @@ class TestCache:
     def test_read_through_recovers_from_corruption(self, tmp_path):
         cons = EnumConstraints(4)
         enumerate_cached(cons, tmp_path)
-        payload = tmp_path / "n4" / f"{cons.key()}.g6"
+        payload = tmp_path / "n4.g6"
         payload.write_text("garbage\n")
         graphs = enumerate_cached(cons, tmp_path)
         assert len(graphs) == ALL_COUNTS[4]
+        assert payload.read_text() != "garbage\n"  # the entry was rewritten

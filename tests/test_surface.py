@@ -87,6 +87,19 @@ class TestScripts:
         assert proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1
 
+    def test_census_counts_and_reads_its_cache_back(self, tmp_path):
+        # OEIS A000088 and A001349; the second run loads each order's one file,
+        # which a recomputation would have replaced by a new inode
+        inodes = []
+        for _ in range(2):
+            proc = run_script("enumeration_census.py", "--max-n", "6", "--cache-dir", str(tmp_path))
+            assert proc.returncode == 0, proc.stderr
+            rows = [[int(x) for x in line.split()[:3]] for line in proc.stdout.splitlines()[1:]]
+            assert rows == [[1, 1, 1], [2, 2, 1], [3, 4, 2], [4, 11, 6], [5, 34, 21], [6, 156, 112]]
+            assert sorted(p.name for p in tmp_path.iterdir()) == [f"n{n}.g6" for n in range(1, 7)]
+            inodes.append({p.name: p.stat().st_ino for p in tmp_path.iterdir()})
+        assert inodes[0] == inodes[1]
+
     def test_census_rejects_an_order_past_the_cap_at_once(self):
         start = time.monotonic()
         proc = run_script("enumeration_census.py", "--max-n", "10")
