@@ -280,6 +280,11 @@ def spectral_radius(g: Graph) -> float:
 # -- paper bounds -------------------------------------------------------------
 
 
+def _radius_lower(p: int) -> Fraction:
+    """p-1 + 1/p^2 + 1/p^3, the kite radius lower bound, exactly."""
+    return p - 1 + Fraction(p + 1, p**3)
+
+
 def kite_radius_bounds(p: int) -> tuple[float, float]:
     """Sandwich (lower, upper) for the kite spectral radius, valid for p >= 3
     and any q >= 1: p-1 + 1/p^2 + 1/p^3 < rho < p-1 + 1/(4p) + 1/(p^2 - 2p).
@@ -288,7 +293,7 @@ def kite_radius_bounds(p: int) -> tuple[float, float]:
     if p < 3:
         raise ValueError("bounds require p >= 3")
     try:
-        lower = p - 1 + 1.0 / p**2 + 1.0 / p**3
+        lower = float(_radius_lower(p))
         upper = p - 1 + 1.0 / (4 * p) + 1.0 / (p * p - 2 * p)
     except OverflowError:
         lower = upper = math.nan
@@ -317,11 +322,6 @@ class InequalityCheck(NamedTuple):
         return {k: str(v) if isinstance(v, Fraction) else v for k, v in self._asdict().items()}
 
 
-def _lemma41_rhs_squared(p: int) -> Fraction:
-    """(p-1 + 1/p^2 + 1/p^3)^2, the squared radius lower bound."""
-    return (Fraction(p - 1) + Fraction(1, p * p) + Fraction(1, p**3)) ** 2
-
-
 def verify_lemma41_inequality(
     p_max: int, every_case: bool = False
 ) -> tuple[int, list[InequalityCheck]]:
@@ -341,7 +341,7 @@ def verify_lemma41_inequality(
         raise ValueError(f"sweep capped at p_max <= {LEMMA41_P_MAX}")
     cases, records = 0, []
     for p in range(3, p_max + 1):
-        rhs = _lemma41_rhs_squared(p)
+        rhs = _radius_lower(p) ** 2
         num, den = rhs.numerator, rhs.denominator
         q = 1
         while p - 2 * q >= 3:

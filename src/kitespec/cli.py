@@ -21,8 +21,10 @@ import sys
 from . import bounds as bounds_mod
 from . import das
 from .charpoly import are_cospectral, charpoly, kite_charpoly
-from .enumeration import EnumConstraints, cache_store, class_count, enumerate_graphs
-# make_kite is unused here, but the benchmark's tracer wraps ``cli.make_kite``
+from .enumeration import EnumConstraints, enumerate_cached
+# cache_store, enumerate_graphs and make_kite are unused here, but the
+# benchmark's tracer wraps them in ``cli``
+from .enumeration import cache_store, enumerate_graphs  # noqa: F401
 from .graph import (  # noqa: F401
     _check_order,
     clique_number,
@@ -211,15 +213,9 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    constraints = EnumConstraints(
-        n=args.n, edges=args.edges, connected_only=args.connected
-    )
-    graphs = list(enumerate_graphs(constraints))
-    # the classes walked must number Polya's count for the space
-    if not args.connected and len(graphs) != (expected := class_count(args.n, args.edges)):
-        raise ValueError(f"the walk yielded {len(graphs)} classes; Polya's count is {expected}")
-    if args.cache_dir:
-        cache_store(args.cache_dir, constraints, graphs)
+    graphs = enumerate_cached(EnumConstraints(args.n, args.edges), args.cache_dir)
+    if args.connected:
+        graphs = [g for g in graphs if is_connected(g)]
     lines = [encode_graph6(g) for g in graphs]
     payload = {"n": args.n, "count": len(lines), "graphs": lines}
     text = "\n".join(lines) if lines else "(none)"
@@ -319,7 +315,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    args.cache_dir = args.cache_dir or os.environ.get(CACHE_DIR_ENV)
+    args.cache_dir = args.cache_dir or os.environ.get(CACHE_DIR_ENV) or None
     try:
         return args.func(args)
     except (ValueError, OSError, bounds_mod.ConvergenceError) as exc:

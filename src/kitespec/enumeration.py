@@ -86,9 +86,9 @@ from math import comb, factorial, gcd
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .graph import Graph, _bits, _trusted_graph, decode_graph6, encode_graph6, is_connected
-# unused here, but the benchmark's tracer wraps ``enumeration.triangle_count``
-from .graph import triangle_count  # noqa: F401
+from .graph import Graph, _bits, _trusted_graph, decode_graph6, encode_graph6
+# unused here, but the benchmark's tracer wraps these names in ``enumeration``
+from .graph import is_connected, triangle_count  # noqa: F401
 
 FULL_ENUM_CAP = 9
 CONSTRAINED_ENUM_CAP = 11
@@ -99,7 +99,7 @@ class EnumerationError(ValueError):
 
 
 class CorruptCacheError(RuntimeError):
-    """A cache file does not match the checksum on its first line; re-enumerate."""
+    """A cache file fails the checksum on its first line or Polya's count; re-enumerate."""
 
 
 @dataclass(frozen=True)
@@ -110,9 +110,9 @@ class CanonicalKey:
 
 @dataclass(frozen=True)
 class EnumConstraints:
+    """A space: the classes on ``n`` vertices, with ``edges`` edges if given."""
     n: int
     edges: int | None = None
-    connected_only: bool = False
 
     def __post_init__(self):
         if self.n < 0:
@@ -500,8 +500,7 @@ def enumerate_graphs(
                 return
         if g.n == n:
             # the edge window closes to the target on the last level
-            if not constraints.connected_only or is_connected(g):
-                yield g
+            yield g
             return
         for child, child_gens in children(g, gens):
             yield from walk(child, child_gens, index)
@@ -530,13 +529,12 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def _cache_path(cache_dir: str | Path, constraints: EnumConstraints) -> Path:
-    c = constraints
-    edges = "" if c.edges is None else f"-e{c.edges}"
-    return Path(cache_dir) / f"n{c.n}{edges}{'-connected' if c.connected_only else ''}.g6"
+    edges = "" if constraints.edges is None else f"-e{constraints.edges}"
+    return Path(cache_dir) / f"n{constraints.n}{edges}.g6"
 
 
 def cache_store(cache_dir: str | Path, constraints: EnumConstraints, graphs: Iterable[Graph]) -> Path:
-    """Persist a stream as one file, ``cache_dir / "n{n}[-e{edges}][-connected].g6"``:
+    """Persist a stream as one file, ``cache_dir / "n{n}[-e{edges}].g6"``:
     the sha256 hex digest of the graph6 lines that follow it, then those
     lines.  Returns the file's path."""
     path = _cache_path(cache_dir, constraints)
@@ -548,8 +546,9 @@ def cache_store(cache_dir: str | Path, constraints: EnumConstraints, graphs: Ite
 
 def cache_load(cache_dir: str | Path, constraints: EnumConstraints) -> list[Graph]:
     """Load a stream that ``cache_store`` wrote; raises FileNotFoundError when
-    there is none, and CorruptCacheError when the file is not ASCII or its
-    first line is not the sha256 of the rest (never reuses bad data)."""
+    there is none, and CorruptCacheError when the file is not ASCII, its
+    first line is not the sha256 of the rest, or the rest is not Polya's
+    count of lines (never reuses bad data)."""
     path = _cache_path(cache_dir, constraints)
     try:
         checksum, _, body = path.read_text(encoding="ascii").partition("\n")
@@ -557,19 +556,26 @@ def cache_load(cache_dir: str | Path, constraints: EnumConstraints) -> list[Grap
         raise CorruptCacheError(f"cache entry {path} is not ASCII: {exc}") from exc
     if checksum != _sha256(body):
         raise CorruptCacheError(f"cache entry {path} fails verification")
-    return [decode_graph6(line) for line in body.splitlines()]
+    lines = body.splitlines()
+    if len(lines) != class_count(constraints.n, constraints.edges):
+        raise CorruptCacheError(f"cache entry {path} does not hold Polya's count of classes")
+    return [decode_graph6(line) for line in lines]
 
 
 def enumerate_cached(
     constraints: EnumConstraints, cache_dir: str | Path | None = None
 ) -> list[Graph]:
-    """Enumerate with an optional read-through cache."""
+    """The whole stream of a space, read through ``cache_dir`` if given.  A
+    missing or corrupt file is recomputed; a walk short of or past Polya's
+    count raises EnumerationError, and nothing is stored."""
     if cache_dir is not None:
         try:
             return cache_load(cache_dir, constraints)
         except (FileNotFoundError, CorruptCacheError):
             pass
     graphs = list(enumerate_graphs(constraints))
+    if len(graphs) != (polya := class_count(constraints.n, constraints.edges)):
+        raise EnumerationError(f"the walk yielded {len(graphs)} classes; Polya's count is {polya}")
     if cache_dir is not None:
         cache_store(cache_dir, constraints, graphs)
     return graphs

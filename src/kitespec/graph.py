@@ -241,8 +241,6 @@ def is_connected(g: Graph) -> bool:
 def encode_graph6(g: Graph) -> str:
     """Standard graph6: header byte n+63, then the upper-triangle bits in
     column-major order packed 6 per byte (offset 63, zero padded)."""
-    if g.n > 62:
-        raise Graph6Error("only n <= 62 supported")
     bits = []
     for j in range(1, g.n):
         for i in range(j):
@@ -258,9 +256,7 @@ def encode_graph6(g: Graph) -> str:
     return "".join(out)
 
 
-def decode_graph6(s: str | bytes) -> Graph:
-    if isinstance(s, bytes):
-        s = s.decode("ascii", errors="replace")
+def decode_graph6(s: str) -> Graph:
     if not s:
         raise Graph6Error("empty graph6 string")
     header = ord(s[0])

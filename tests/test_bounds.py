@@ -397,6 +397,13 @@ class TestRadiusSandwich:
         assert lower == pytest.approx(2 + 1 / 9 + 1 / 27)
         assert upper == pytest.approx(2 + 1 / 12 + 1 / 3)
 
+    def test_lower_is_the_rounded_exact_bound(self):
+        # the float lower bound is the correctly rounded Fraction the Lemma 4.1
+        # sweep squares, not a float sum (which is 1 ulp off at p = 9, 14, ...)
+        for p in range(3, 201):
+            exact = p - 1 + Fraction(1, p**2) + Fraction(1, p**3)
+            assert kite_radius_bounds(p)[0] == float(exact), p
+
 
 class TestSpectralCliqueBound:
     def test_nikiforov_monotone_in_r(self):
@@ -486,15 +493,18 @@ class TestInequalityVerification:
         # side breaks exactly the top cases; the two largest are (1, 6), (1, 5)
         lhs = sorted(Fraction((72 + 2 * q) * (r - 1), r) for q in (1, 2, 3) for r in range(2, 9 - 2 * q))
         planted = (lhs[-top] + lhs[-top - 1]) / 2 if top < len(lhs) else Fraction(0)
-        real = bounds._lemma41_rhs_squared
+        # a lower bound whose square is within 1e-4 of the planted right side,
+        # far inside the gap between two left sides
+        root = Fraction(math.isqrt(math.floor(planted * 10**12)), 10**6)
+        real = bounds._radius_lower
 
-        def rhs_squared(p):
-            return planted if p == 9 else real(p)
+        def radius_lower(p):
+            return root if p == 9 else real(p)
 
-        monkeypatch.setattr(bounds, "_lemma41_rhs_squared", rhs_squared)
+        monkeypatch.setattr(bounds, "_radius_lower", radius_lower)
         cases, violations = verify_lemma41_inequality(12)
         found = {(c.p, c.q, c.r) for c in violations}
-        assert (cases, found) == lemma41_oracle(12, rhs_squared)
+        assert (cases, found) == lemma41_oracle(12, lambda p: radius_lower(p) ** 2)
         assert len(found) == min(top, len(lhs))
         if top <= 2:
             assert found <= {(9, 1, 6), (9, 1, 5)}

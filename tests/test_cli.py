@@ -20,7 +20,7 @@ from kitespec.cli import (
     main,
 )
 import kitespec
-from kitespec import bounds, cli, das
+from kitespec import bounds, das, enumeration
 from kitespec.charpoly import charpoly, kite_charpoly
 from kitespec.enumeration import EnumConstraints, cache_load
 from kitespec.graph import decode_graph6, encode_graph6, make_kite
@@ -259,13 +259,12 @@ class TestCensusAndVerify:
         assert out == LEMMA41_CSV_P9
 
     def test_lemma41_violation_exits_2_with_exact_fractions(self, capsys, monkeypatch):
-        # a right-hand side of 43/4 at p = 5 breaks its one case, 2m(r-1)/r = 11
-        real = bounds._lemma41_rhs_squared
-        monkeypatch.setattr(
-            bounds, "_lemma41_rhs_squared", lambda p: Fraction(43, 4) if p == 5 else real(p)
-        )
+        # a lower bound of 13/4 at p = 5 squares to 169/16, which breaks its
+        # one case, 2m(r-1)/r = 11
+        real = bounds._radius_lower
+        monkeypatch.setattr(bounds, "_radius_lower", lambda p: Fraction(13, 4) if p == 5 else real(p))
         violation = {
-            "p": 5, "q": 1, "r": 2, "lhs_squared": "11", "rhs_squared": "43/4", "holds": False,
+            "p": 5, "q": 1, "r": 2, "lhs_squared": "11", "rhs_squared": "169/16", "holds": False,
         }
         code, out, _ = run(capsys, "--format", "json", "lemma41-check", "--max-p", "9")
         assert code == EXIT_THEOREM_CONTRADICTED
@@ -275,7 +274,7 @@ class TestCensusAndVerify:
         assert (code, out) == (EXIT_THEOREM_CONTRADICTED, f"{cases} inequality checks, 1 violations\n")
         code, out, _ = run(capsys, "--format", "csv", "lemma41-check", "--max-p", "9")
         assert code == EXIT_THEOREM_CONTRADICTED
-        assert "5,1,2,11,43/4,False" in out.splitlines()
+        assert "5,1,2,11,169/16,False" in out.splitlines()
 
     def test_lemma41_check_over_cap_is_usage_error(self, capsys):
         code, out, err = run(capsys, "--format", "json", "lemma41-check", "--max-p", "101")
@@ -382,8 +381,27 @@ class TestEnumerateCommand:
 
     def test_cache_env_var(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
-        run(capsys, "enumerate", "--n", "4", "--connected")
-        assert len(cache_load(tmp_path, EnumConstraints(4, connected_only=True))) == 6
+        code, out, _ = run(capsys, "enumerate", "--n", "4", "--connected")
+        assert (code, len(out.splitlines())) == (EXIT_OK, 6)
+        # the cache holds the whole space; --connected filters what it prints
+        assert [p.name for p in tmp_path.iterdir()] == ["n4.g6"]
+        assert len(cache_load(tmp_path, EnumConstraints(4))) == 11
+
+    @pytest.mark.parametrize("extra", [[], ["--connected"]])
+    def test_second_run_reads_the_cache(self, capsys, tmp_path, extra):
+        argv = ["--cache-dir", str(tmp_path), "enumerate", "--n", "6", *extra]
+        first = run(capsys, *argv)
+        inode = (tmp_path / "n6.g6").stat().st_ino
+        assert run(capsys, *argv) == first
+        assert first[0] == EXIT_OK
+        assert (tmp_path / "n6.g6").stat().st_ino == inode  # read, not rewritten
+
+    def test_empty_env_var_is_no_cache(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv(CACHE_DIR_ENV, "")
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "enumerate", "--n", "3")
+        assert (code, len(out.splitlines())) == (EXIT_OK, 4)
+        assert not any(tmp_path.iterdir())  # nothing written to the working directory
 
     def test_flag_wins_over_env(self, capsys, tmp_path, monkeypatch):
         env_dir = tmp_path / "env"
@@ -395,29 +413,31 @@ class TestEnumerateCommand:
 
     def test_unusable_cache_dir_is_usage_error(self, tmp_path):
         # run as the user runs it, so an uncaught OSError would show as a traceback
-        not_a_dir = tmp_path / "file"
-        not_a_dir.write_text("")
+        regular = tmp_path / "file"
+        regular.write_text("")
         src = os.path.dirname(os.path.dirname(kitespec.__file__))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        argv = ["--cache-dir", str(not_a_dir), "enumerate", "--n", "3"]
-        proc = subprocess.run(
-            [sys.executable, "-m", "kitespec", *argv],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
-        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-        assert "Traceback" not in proc.stderr
+        for not_a_dir in (str(regular), os.devnull):
+            argv = ["--cache-dir", not_a_dir, "enumerate", "--n", "3"]
+            proc = subprocess.run(
+                [sys.executable, "-m", "kitespec", *argv],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert (proc.returncode, proc.stdout) == (EXIT_USAGE, ""), not_a_dir
+            assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+            assert "Not a directory" in proc.stderr and not_a_dir in proc.stderr
+            assert "Traceback" not in proc.stderr
 
     def test_over_cap_is_usage_error(self, capsys):
         code, _, err = run(capsys, "enumerate", "--n", "15")
         assert code == EXIT_USAGE
 
-    @pytest.mark.parametrize("extra", [[], ["--edges", "4"]])
+    @pytest.mark.parametrize("extra", [[], ["--edges", "4"], ["--connected"]])
     def test_lost_class_fails_polya_check(self, capsys, monkeypatch, tmp_path, extra):
         # a walk that drops its first graph is one class short of Polya's count
-        real = cli.enumerate_graphs
-        monkeypatch.setattr(cli, "enumerate_graphs", lambda c: islice(real(c), 1, None))
+        real = enumeration.enumerate_graphs
+        monkeypatch.setattr(enumeration, "enumerate_graphs", lambda c: islice(real(c), 1, None))
         code, out, err = run(capsys, "--cache-dir", str(tmp_path), "enumerate", "--n", "5", *extra)
         assert (code, out) == (EXIT_USAGE, "")
         assert err.startswith("error: ") and "Polya's count" in err

@@ -52,9 +52,11 @@ STREAM_SHA256 = {
     7: "e10a6089bcb5eb6266861dc6375b91d29d262336a5062e6d80005adcf98b04cf",
     8: "db386fcab814d4b9dfe3af666ac40c9da7cd9560523cb2c23d09762189a5d7c1",
 }
+# (space, filter of its stream or None, digest); the connected classes are the
+# whole stream filtered, as ``enumerate --connected`` prints them
 CONSTRAINED_STREAM_SHA256 = [
-    (EnumConstraints(8, edges=14), "a33b30c1f6a59638fc503fc7ea2c0d3f3a7e851e9b039633d568c28b1c09cbb5"),
-    (EnumConstraints(7, connected_only=True), "29e88adc3b56368b3005a9de608ee5e14a79700b9b0704191cc1b3da60820eb3"),
+    (EnumConstraints(8, edges=14), None, "a33b30c1f6a59638fc503fc7ea2c0d3f3a7e851e9b039633d568c28b1c09cbb5"),
+    (EnumConstraints(7), is_connected, "29e88adc3b56368b3005a9de608ee5e14a79700b9b0704191cc1b3da60820eb3"),
 ]
 # the two halves of the n = 9, m = 13 stream the p = 7 mate search scans,
 # as the complements of the n = 9, m = 23 classes
@@ -82,8 +84,9 @@ BUILT_CHILDREN_PER_LEVEL = [
 ]
 
 
-def stream_sha256(constraints, partition=None):
-    stream = "\n".join(encode_graph6(g) for g in enumerate_graphs(constraints, partition))
+def stream_sha256(constraints, partition=None, keep=None):
+    graphs = enumerate_graphs(constraints, partition)
+    stream = "\n".join(encode_graph6(g) for g in graphs if keep is None or keep(g))
     return hashlib.sha256(stream.encode()).hexdigest()
 
 
@@ -288,9 +291,8 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_counts_connected(self, n):
-        graphs = list(enumerate_graphs(EnumConstraints(n, connected_only=True)))
+        graphs = [g for g in enumerate_graphs(EnumConstraints(n)) if is_connected(g)]
         assert len(graphs) == CONNECTED_COUNTS[n]
-        assert all(is_connected(g) for g in graphs)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_brute_force(self, n):
@@ -298,10 +300,7 @@ class TestEnumeration:
         assert mine == brute_force_classes(n)
 
     def test_brute_force_connected(self):
-        mine = {
-            canonical_form(g)
-            for g in enumerate_graphs(EnumConstraints(5, connected_only=True))
-        }
+        mine = {canonical_form(g) for g in enumerate_graphs(EnumConstraints(5)) if is_connected(g)}
         assert mine == brute_force_classes(5, connected_only=True)
 
     def test_edge_constraint(self):
@@ -327,7 +326,7 @@ class TestEnumeration:
         assert merged == full
 
     def test_null_graph_is_one_class(self):
-        for cons in (EnumConstraints(0), EnumConstraints(0, edges=0, connected_only=True)):
+        for cons in (EnumConstraints(0), EnumConstraints(0, edges=0)):
             assert [encode_graph6(g) for g in enumerate_graphs(cons)] == ["?"]
         # the root is dealt to exactly one partition
         for total in range(1, 4):
@@ -356,12 +355,12 @@ class TestEnumeration:
         assert stream_sha256(EnumConstraints(8)) == STREAM_SHA256[8]
 
     @pytest.mark.parametrize(
-        "constraints, digest",
+        "constraints, keep, digest",
         CONSTRAINED_STREAM_SHA256,
         ids=["n8-m14", "n7-connected"],
     )
-    def test_golden_stream_constrained(self, constraints, digest):
-        assert stream_sha256(constraints) == digest
+    def test_golden_stream_constrained(self, constraints, keep, digest):
+        assert stream_sha256(constraints, keep=keep) == digest
 
     @extended
     @pytest.mark.parametrize("k", [0, 1])
@@ -428,8 +427,8 @@ class TestEnumeration:
 
     def test_kite_appears_in_its_stratum(self):
         g = make_kite(p=4, q=2)
-        cons = EnumConstraints(6, edges=8, connected_only=True)
-        keys = {canonical_form(h) for h in enumerate_graphs(cons)}
+        cons = EnumConstraints(6, edges=8)
+        keys = {canonical_form(h) for h in enumerate_graphs(cons) if is_connected(h)}
         assert canonical_form(g) in keys
 
 
@@ -471,7 +470,7 @@ class TestConstrainedWalk:
 
 class TestCache:
     def test_round_trip(self, tmp_path):
-        cons = EnumConstraints(5, connected_only=True)
+        cons = EnumConstraints(5)
         graphs = list(enumerate_graphs(cons))
         cache_store(tmp_path, cons, graphs)
         loaded = cache_load(tmp_path, cons)
@@ -520,15 +519,20 @@ class TestCache:
         assert len(enumerate_cached(cons, tmp_path)) == ALL_COUNTS[4]
         assert len(cache_load(tmp_path, cons)) == ALL_COUNTS[4]
 
+    @pytest.mark.parametrize("kept", [slice(1, None), slice(0)], ids=["one-class-short", "empty"])
+    def test_checksummed_file_short_of_polya_is_corrupt(self, tmp_path, kept):
+        # the checksum matches the body, but the body is not the whole space
+        cons = EnumConstraints(4)
+        cache_store(tmp_path, cons, list(enumerate_graphs(cons))[kept])
+        with pytest.raises(CorruptCacheError, match="Polya's count"):
+            cache_load(tmp_path, cons)
+        assert len(enumerate_cached(cons, tmp_path)) == ALL_COUNTS[4]
+        assert len(cache_load(tmp_path, cons)) == ALL_COUNTS[4]
+
     def test_each_space_has_its_own_file(self, tmp_path):
-        spaces = [
-            EnumConstraints(5),
-            EnumConstraints(5, edges=4),
-            EnumConstraints(5, connected_only=True),
-            EnumConstraints(5, edges=4, connected_only=True),
-        ]
+        spaces = [EnumConstraints(5), EnumConstraints(5, edges=4)]
         paths = [cache_store(tmp_path, c, enumerate_graphs(c)) for c in spaces]
-        names = ["n5.g6", "n5-e4.g6", "n5-connected.g6", "n5-e4-connected.g6"]
+        names = ["n5.g6", "n5-e4.g6"]
         assert [p.name for p in paths] == names
         assert sorted(tmp_path.iterdir()) == sorted(paths)
         for c in spaces:
