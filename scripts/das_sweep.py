@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Sweep the exhaustive cospectral-mate search over a range of kites.
 
-For q = 2 the scan is a full verification at that order; for q > 2 it is
-evidence only.  Prints one row per (p, q) and exits 2 if any mate is found.
+Each kite goes through ``verify_kite``: for q = 2 the scan is a full
+verification at that order; for q > 2 it is evidence only.  Prints one row
+per (p, q) and exits 2 if any mate is found.
 
 Usage:
     python3 scripts/das_sweep.py [--max-order 9] [--workers 4]
@@ -15,7 +16,7 @@ import argparse
 import sys
 import time
 
-from kitespec.das import DESK_ORDER_MAX, VERDICT_DAS, conjecture43_evidence, verify_theorem42
+from kitespec.das import DESK_ORDER_MAX, VERDICT_DAS, verify_kite
 
 
 def main() -> int:
@@ -34,10 +35,7 @@ def main() -> int:
     for p in range(3, args.max_order - 1):
         for q in range(2, args.max_order - p + 1):
             start = time.monotonic()
-            if q == 2:
-                rep = verify_theorem42(p, workers=args.workers)
-            else:
-                rep = conjecture43_evidence(p, q, workers=args.workers)
+            rep = verify_kite(p, q, workers=args.workers)
             elapsed = time.monotonic() - start
             tag = rep.verdict if rep.claim == "exhaustive" else f"{rep.verdict} (evidence)"
             print(f"{p:>3} {q:>3} {rep.n:>3} {rep.classes_scanned:>9} "

@@ -169,12 +169,7 @@ def cmd_kite_census(args) -> int:
 
 def cmd_das_verify(args) -> int:
     p, q = args.p, args.q
-    if q == 2:
-        report = das.verify_theorem42(p, workers=args.workers)
-    elif q > 2:
-        report = das.conjecture43_evidence(p, q, workers=args.workers)
-    else:
-        raise ValueError("das-verify needs q >= 2")
+    report = das.verify_kite(p, q, workers=args.workers)
     payload = report.to_json()
     text = (
         f"Kite_{{{p},{q}}}: scanned {report.classes_scanned} classes "
@@ -260,8 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact spectral toolkit for kite graphs: polynomials, "
         "cospectrality, bounds, and exhaustive DAS verification.",
     )
-    parser.add_argument("--cache-dir", default=None, help=f"graph cache directory (env {CACHE_DIR_ENV})")
-    parser.add_argument("--workers", type=_positive(int), default=1, help="enumeration worker count")
+    parser.add_argument("--cache-dir", default=None,
+                        help=f"graph cache directory, read by enumerate only (env {CACHE_DIR_ENV})")
+    parser.add_argument("--workers", type=_positive(int), default=1,
+                        help="mate-search worker processes for das-verify")
     parser.add_argument("--format", choices=["json", "csv", "text"], default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -216,35 +216,33 @@ def verify_theorem31(n_max: int) -> list[CensusRow]:
     return rows
 
 
-def verify_theorem42(p: int, workers: int = 1) -> SearchReport:
-    """Exhaustive DAS check for Kite_{p,2}: scan every graph (connected or
-    not) on p+2 vertices with (p^2 - p + 4)/2 edges.  For p >= 4 that is more
-    than half of the vertex pairs, so the search walks the complements of
-    the graphs with 2p - 1 edges; for p = 7 these are the 10120
-    classes with 9 vertices and 13 edges, dealt to the workers by their
-    parents on 8 vertices."""
-    if p < 3 or p + 2 > DESK_ORDER_MAX:
-        raise ValueError(f"desk-scale range is p >= 3 and p + 2 <= {DESK_ORDER_MAX}")
-    target = make_kite(p=p, q=2)
-    report = find_cospectral_mates(target, target_params=KiteParams(p, 2), workers=workers)
-    if report.m != (p * p - p + 4) // 2 or report.t != comb(p, 3):
+def verify_kite(p: int, q: int, workers: int = 1) -> SearchReport:
+    """Exhaustive cospectral-mate search for Kite_{p,q}: scan every graph
+    (connected or not) on p + q vertices with C(p, 2) + q edges.  For q = 2
+    a clean verdict verifies Theorem 4.2 at that order (claim "exhaustive");
+    for q > 2 it is evidence for Conjecture 4.3, never a proof (claim
+    "evidence").  Raises SearchInvariantError when the target's edge or
+    triangle count is not the kite's."""
+    if p < 3 or q < 2 or p + q > DESK_ORDER_MAX:
+        raise ValueError(f"desk-scale range is p >= 3, q >= 2 and p + q <= {DESK_ORDER_MAX}")
+    report = find_cospectral_mates(
+        make_kite(p=p, q=q),
+        target_params=KiteParams(p, q),
+        workers=workers,
+        claim="exhaustive" if q == 2 else "evidence",
+    )
+    m, t = comb(p, 2) + q, comb(p, 3)
+    if (report.m, report.t) != (m, t):
         raise SearchInvariantError(
-            f"Kite_{{{p},2}} has m={report.m}, t={report.t}; expected "
-            f"m={(p * p - p + 4) // 2}, t={comb(p, 3)}"
+            f"Kite_{{{p},{q}}} has m={report.m}, t={report.t}; expected m={m}, t={t}"
         )
     return report
 
 
-def conjecture43_evidence(p: int, q: int, workers: int = 1) -> SearchReport:
-    """Same search for q > 2; the verdict is evidence only, never a proof."""
-    if q <= 2 or p < 3:
-        raise ValueError("evidence mode needs p >= 3 and q > 2")
-    if p + q > DESK_ORDER_MAX:
-        raise ValueError(f"desk-scale range is p + q <= {DESK_ORDER_MAX}")
-    target = make_kite(p=p, q=q)
-    return find_cospectral_mates(
-        target,
-        target_params=KiteParams(p, q),
-        workers=workers,
-        claim="evidence",
-    )
+def verify_theorem42(p: int, workers: int = 1) -> SearchReport:
+    """Theorem 4.2 at order p + 2: ``verify_kite(p, 2)``.  For p >= 4 the
+    kite has more than half of the vertex pairs, so the search walks the
+    complements of the graphs with 2p - 1 edges; for p = 7 these are the
+    10120 classes with 9 vertices and 13 edges, dealt to the workers by
+    their parents on 8 vertices."""
+    return verify_kite(p, 2, workers)

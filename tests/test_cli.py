@@ -243,6 +243,7 @@ class TestCensusAndVerify:
     def test_das_verify_q1_rejected(self, capsys):
         code, _, err = run(capsys, "das-verify", "--p", "4", "--q", "1")
         assert code == EXIT_USAGE
+        assert err.startswith("error: ") and "q >= 2" in err
 
     def test_lemma41_check(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "lemma41-check", "--max-p", "15")

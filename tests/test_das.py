@@ -1,4 +1,5 @@
 import itertools
+import re
 from collections import defaultdict
 from math import comb
 
@@ -11,8 +12,8 @@ from kitespec.das import (
     VERDICT_MATES,
     SearchInvariantError,
     _assert_mate_invariants,
-    conjecture43_evidence,
     find_cospectral_mates,
+    verify_kite,
     verify_theorem31,
     verify_theorem42,
 )
@@ -260,22 +261,26 @@ class TestExhaustiveChecks:
     def test_pendant_path_two(self, p):
         report = verify_theorem42(p)
         assert report.verdict == VERDICT_DAS
+        assert report.claim == "exhaustive"
         assert report.m == (p * p - p + 4) // 2
 
-    def test_range_guard(self):
-        with pytest.raises(ValueError):
-            verify_theorem42(8)
+    @pytest.mark.parametrize("p, q", [(2, 2), (3, 1), (6, 4), (8, 2)])
+    def test_range_guard(self, p, q):
+        with pytest.raises(ValueError, match="desk-scale range"):
+            verify_kite(p, q)
 
     def test_evidence_mode(self):
-        report = conjecture43_evidence(3, 3)
+        report = verify_kite(3, 3)
         assert report.claim == "evidence"
         assert report.verdict == VERDICT_DAS
+        assert (report.n, report.m, report.t) == (6, 6, 1)
 
-    def test_evidence_mode_guards(self):
-        with pytest.raises(ValueError):
-            conjecture43_evidence(3, 2)
-        with pytest.raises(ValueError):
-            conjecture43_evidence(6, 4)
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_wrong_kite_fails_the_count_check(self, monkeypatch, q):
+        # Kite_{p+1,q-1} has the order of Kite_{p,q} but p - 1 more edges
+        monkeypatch.setattr(das, "make_kite", lambda p, q: make_kite(p + 1, q - 1))
+        with pytest.raises(SearchInvariantError, match=re.escape(f"Kite_{{3,{q}}} has m=")):
+            verify_kite(3, q)
 
 
 class TestCandidateTriples:

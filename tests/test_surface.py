@@ -13,6 +13,9 @@ import sys
 import time
 from pathlib import Path
 
+from kitespec.bounds import spectral_radius
+from kitespec.graph import make_kite
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "kitespec"
 CALLER_DIRS = (ROOT / "src", ROOT / "scripts", ROOT / "perfbench")
@@ -77,7 +80,8 @@ class TestScripts:
         proc = run_script("bounds_table.py", "--max-p", "23", "--max-q", "1")
         assert proc.returncode == 0, proc.stderr
         tail = proc.stdout.split("p = 23:")[1]
-        assert "q =  1: rho = " in tail
+        # the pendant-recurrence radius agrees with Berkowitz on the built kite
+        assert f"q =  1: rho = {spectral_radius(make_kite(23, 1)):.10f} " in tail
 
     def test_das_sweep_rejects_an_order_past_the_desk_range(self):
         proc = run_script("das_sweep.py", "--max-order", "10", "--workers", "1")
