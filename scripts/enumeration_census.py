@@ -9,13 +9,14 @@ graph6 stream is persisted as ``n{n}.g6`` and reused on later runs.
 Usage:
     python3 scripts/enumeration_census.py [--max-n 8] [--cache-dir DIR]
 
-An order above FULL_ENUM_CAP (9) is rejected before any walk starts.
+An order past the enumeration cap (n = 10 and above) is refused before any
+walk starts, with the message of ``EnumConstraints``.
 """
 
 import argparse
 import time
 
-from kitespec.enumeration import FULL_ENUM_CAP, EnumConstraints, enumerate_cached
+from kitespec.enumeration import EnumConstraints, EnumerationError, enumerate_cached
 from kitespec.graph import is_connected
 
 
@@ -24,8 +25,10 @@ def main() -> None:
     ap.add_argument("--max-n", type=int, default=8)
     ap.add_argument("--cache-dir", default=None)
     args = ap.parse_args()
-    if args.max_n > FULL_ENUM_CAP:
-        ap.error(f"--max-n {args.max_n} is past the enumeration cap {FULL_ENUM_CAP}")
+    try:
+        EnumConstraints(args.max_n)
+    except EnumerationError as exc:
+        ap.error(f"--max-n {args.max_n}: {exc}")
 
     print(f"{'n':>3} {'all':>8} {'connected':>10} {'seconds':>8}")
     for n in range(1, args.max_n + 1):

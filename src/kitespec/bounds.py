@@ -3,12 +3,13 @@
 The eigensolver reduces the symmetric adjacency matrix to tridiagonal form
 by Householder reflections and finds the eigenvalues by implicit-shift QL,
 O(n^3) work done once, deflating at machine precision: it takes no
-tolerance.  The spectral radius is additionally certified by Sturm counts
-on the exact characteristic polynomial, so the headline quantity never
-depends on floating point alone.  The Sturm chain is built from integer
-pseudo-remainders and signs are taken at dyadic points by integer Horner, so
-root isolation never leaves the integers.  A float hint only chooses the
-grid points whose Sturm counts place the root (``largest_root``).
+tolerance.  The spectral radius is additionally certified on the exact
+characteristic polynomial, so the headline quantity never depends on
+floating point alone.  Such a polynomial is real-rooted, so Descartes' rule
+of signs, applied to an integer Taylor shift, counts its roots above a
+dyadic point exactly; the radius is the least multiple of 2**-GRID_BITS
+with no root above it.  A float hint only chooses the grid points whose
+counts place the root (``largest_root``).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .polynomial import IntPolynomial
 
 EPS = math.ulp(1.0)  # machine epsilon
 QL_STEP_CAP = 30  # per eigenvalue
-RADIUS_TOL = 1e-10
+GRID_BITS = 34  # radii are multiples of 2**-34, about 5.8e-11
 NEWTON_CAP = 200
 LEMMA41_P_MAX = 100
 
@@ -110,78 +111,22 @@ def eigenvalues(g: Graph) -> list[float]:
     return symmetric_eigenvalues(g.adjacency_matrix())
 
 
-# -- Sturm sequences ---------------------------------------------------------
+# -- roots by Descartes' rule of signs -----------------------------------------
 
 
-def _primitive(coeffs: list[int]) -> IntPolynomial:
-    """Divide an integer polynomial by the gcd of its coefficients, a
-    positive constant, so the sign is preserved."""
-    g = math.gcd(*coeffs) or 1
-    return IntPolynomial(tuple(c // g for c in coeffs))
-
-
-def sturm_chain(poly: IntPolynomial) -> list[IntPolynomial]:
-    """Sturm chain of ``poly`` by integer pseudo-remainders.  Each division
-    step scales the dividend by |lead(g)| > 0, and each remainder is reduced
-    to its primitive part, so every element is a positive multiple of the
-    rational remainder and the sign-variation counts are intact."""
-    chain = [poly, poly.derivative()]
-    while not chain[-1].is_zero() and chain[-1].degree > 0:
-        f, g = chain[-2], chain[-1]
-        rem = list(f.coeffs)
-        gc = g.coeffs
-        scale, sign = abs(gc[-1]), 1 if gc[-1] > 0 else -1
-        while len(rem) >= len(gc):
-            lead = rem.pop() * sign
-            if lead:
-                shift = len(rem) - len(gc) + 1
-                rem = [c * scale for c in rem]
-                for k, c in enumerate(gc[:-1]):
-                    rem[shift + k] -= lead * c
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if not rem:
-            break
-        chain.append(-_primitive(rem))
-    return chain
-
-
-def _poly_div_exact(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
-    """Quotient f/g by integer long division, returned primitive.  For a
-    primitive g that divides f the quotient is integral (Gauss's lemma).
-    An inexact step leaves its non-zero residue in a coefficient that no
-    later step touches, so one remainder check catches it: raises
-    ArithmeticError unless g divides f over the integers."""
-    rem = list(f.coeffs)
-    quo = [0] * (f.degree - g.degree + 1)
-    glead = g.coeffs[-1]
-    for k in range(f.degree - g.degree, -1, -1):
-        quo[k] = factor = rem[k + g.degree] // glead
-        for i, c in enumerate(g.coeffs):
-            rem[k + i] -= factor * c
-    if any(rem):
-        raise ArithmeticError(f"{g.coeffs} does not divide {f.coeffs}")
-    return _primitive(quo)
-
-
-def _sign_at_dyadic(poly: IntPolynomial, num: int, k: int) -> int:
-    """Sign of poly(num / 2**k) via the integer-scaled value
-    2**(k*d) * poly(num / 2**k), evaluated by Horner's rule."""
-    total = 0
-    for shift, c in enumerate(reversed(poly.coeffs)):
-        total = total * num + (c << k * shift)
-    return (total > 0) - (total < 0)
-
-
-def sturm_count_above(chain: list[IntPolynomial], num: int, k: int) -> int:
-    """Number of distinct real roots in (num/2**k, +inf)."""
-    def variations(values):
-        nz = [(v > 0) - (v < 0) for v in values if v != 0]
-        return sum(1 for a, b in zip(nz, nz[1:]) if a != b)
-
-    at_x = variations([_sign_at_dyadic(f, num, k) for f in chain])
-    at_inf = variations([f.coeffs[-1] for f in chain])
-    return at_x - at_inf
+def _roots_above(poly: IntPolynomial, num: int, k: int) -> int:
+    """Number of roots of a real-rooted ``poly`` above num / 2**k, counted
+    with multiplicity: the sign variations of the integer polynomial
+    2**(k*d) * poly((y + num) / 2**k), whose positive roots they are.
+    Descartes' rule of signs counts them exactly when every root is real.
+    The Taylor shift by num takes O(d**2) integer steps."""
+    d = poly.degree
+    a = [c << k * (d - i) for i, c in enumerate(poly.coeffs)]
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            a[j] += num * a[j + 1]
+    signs = [c > 0 for c in a if c]
+    return sum(map(operator.ne, signs, signs[1:]))
 
 
 def _root_hint(poly: IntPolynomial) -> float:
@@ -209,69 +154,51 @@ def _root_hint(poly: IntPolynomial) -> float:
     return x
 
 
-def _bisection_steps(bound: int) -> int:
-    """Halvings that take (-(bound + 1), bound + 1] below RADIUS_TOL: the
-    float formula while it can be formed, so the step count and every bit of
-    the radius stay as they were; past the float range (bound from about
-    1e298) the same ceiling, taken exactly on integers."""
-    try:
-        return max(1, math.ceil(math.log2(max(2 * (bound + 1) / RADIUS_TOL, 2))))
-    except OverflowError:
-        num, den = RADIUS_TOL.as_integer_ratio()
-        return (-(-2 * (bound + 1) * den // num) - 1).bit_length()
-
-
 def largest_root(poly: IntPolynomial) -> float:
-    """Largest real root, to within RADIUS_TOL, by exact Sturm counts on the
-    grid x_j = -(bound + 1) + j * 2 (bound + 1) / 2**steps, which holds every
-    root.  Raises ValueError when there is no real root.
+    """Largest root of an integer polynomial whose roots are all real, as
+    those of the characteristic polynomial of a symmetric matrix are,
+    rounded up to the grid: the least x_j = j / 2**GRID_BITS with no root
+    above it, found by exact root counts, so it depends on the root alone.
+    Raises ValueError for a constant.
 
-    The result is the x_j with a root above x_(j-1) and none above x_j, so it
-    depends on the root alone.  A gallop out from the cell of a float hint
-    certifies both ends, in about 2 Sturm counts instead of about 60, and a
-    bisection on j finishes.  A wrong, infinite or NaN hint costs counts,
-    never bits."""
-    chain = sturm_chain(poly)
-    gcd = chain[-1]
-    if gcd.degree > 0:
-        # repeated roots: search on the squarefree part poly / gcd(poly, poly').
-        # The last element may be the derivative itself, which need not be
-        # primitive, so divide by its primitive part.
-        poly = _poly_div_exact(poly, _primitive(list(gcd.coeffs)))
-        chain = sturm_chain(poly)
-    bound = poly.degree + max((abs(c) for c in poly.coeffs[:-1]), default=0)
-    if sturm_count_above(chain, -(bound + 1), 0) == 0:
-        raise ValueError("polynomial has no real root")
-    steps = _bisection_steps(bound)
-    # x_j = (base + j * cell) / 2**steps; a root above x_lo, none above x_hi
-    base, cell = -(bound + 1) << steps, 2 * (bound + 1)
-    lo, hi = 0, 1 << steps
+    A gallop out from the grid index of a float hint (index 0 when the hint
+    is not finite) brackets j, in 2 counts when the hint is good, and a
+    bisection on j finishes.  A wrong hint costs counts, never bits."""
+    if poly.degree < 1:
+        raise ValueError("a constant polynomial has no real root")
+
+    def above(j: int) -> bool:
+        return _roots_above(poly, j, GRID_BITS) > 0
+
     hint = _root_hint(poly)
+    at = 0
     if math.isfinite(hint):
         num, den = hint.as_integer_ratio()
-        at = ((num << steps) // den - base) // cell
-        d = 0
-        # the guard stops a hint far off the grid, which never enters (lo, hi)
-        while (lo == 0 or hi == 1 << steps) and d < hi - lo:
-            for j in (at - d, at + 1 + d):
-                if lo < j < hi:
-                    if sturm_count_above(chain, base + j * cell, steps):
-                        lo = j
-                    else:
-                        hi = j
-            d = d * 16 or 1
+        at = (num << GRID_BITS) // den
+    # a root above x_lo, none above x_hi
+    step = 1
+    if above(at):
+        lo, hi = at, at + 1
+        while above(hi):
+            lo, hi, step = hi, hi + step, 16 * step
+    else:
+        lo, hi = at - 1, at
+        while not above(lo):
+            lo, hi, step = lo - step, lo, 16 * step
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if sturm_count_above(chain, base + mid * cell, steps):
+        if above(mid):
             lo = mid
         else:
             hi = mid
-    return (base + hi * cell) / (1 << steps)
+    return hi / (1 << GRID_BITS)
 
 
 def spectral_radius(g: Graph) -> float:
-    """Largest adjacency eigenvalue, to RADIUS_TOL by exact Sturm counts on
-    the characteristic polynomial; 0.0 for an edgeless graph."""
+    """Largest adjacency eigenvalue, rounded up to a multiple of
+    2**-GRID_BITS by exact root counts on the characteristic polynomial, so
+    it depends on the eigenvalue alone: G and G + K1 agree, K_n gives
+    exactly n - 1 and an edgeless graph 0.0."""
     if g.n == 0:
         raise ValueError("spectral radius of the empty graph is undefined")
     return largest_root(charpoly(g))

@@ -90,8 +90,10 @@ from .graph import Graph, _bits, _trusted_graph, decode_graph6, encode_graph6
 # unused here, but the benchmark's tracer wraps these names in ``enumeration``
 from .graph import is_connected, triangle_count  # noqa: F401
 
-FULL_ENUM_CAP = 9
-CONSTRAINED_ENUM_CAP = 11
+ENUM_ORDER_CAP = 11
+# the largest space on 10 vertices, class_count(10, 22): every space on 9,
+# none unconstrained on 10, and (11, m) for m <= 16 or m >= 39 fit under it
+ENUM_CLASS_CAP = 1_358_852
 
 
 class EnumerationError(ValueError):
@@ -110,7 +112,9 @@ class CanonicalKey:
 
 @dataclass(frozen=True)
 class EnumConstraints:
-    """A space: the classes on ``n`` vertices, with ``edges`` edges if given."""
+    """A space: the classes on ``n`` vertices, with ``edges`` edges if given.
+    A space of more than ENUM_CLASS_CAP classes, by Polya's count, or on more
+    than ENUM_ORDER_CAP vertices is refused before any walk starts."""
     n: int
     edges: int | None = None
 
@@ -119,11 +123,14 @@ class EnumConstraints:
             raise EnumerationError("n must be non-negative")
         if self.edges is not None and not 0 <= self.edges <= comb(self.n, 2):
             raise EnumerationError(f"edge count {self.edges} out of range for n={self.n}")
-        cap = FULL_ENUM_CAP if self.edges is None else CONSTRAINED_ENUM_CAP
-        if self.n > cap:
+        if self.n > ENUM_ORDER_CAP:
             raise EnumerationError(
-                f"n={self.n} beyond enumeration cap ({cap} "
-                f"{'with' if self.edges is not None else 'without'} edge constraint)"
+                f"n={self.n} is past the enumeration cap of {ENUM_ORDER_CAP} vertices"
+            )
+        count = class_count(self.n, self.edges)
+        if count > ENUM_CLASS_CAP:
+            raise EnumerationError(
+                f"{self} holds {count} classes, past the enumeration cap of {ENUM_CLASS_CAP}"
             )
 
 

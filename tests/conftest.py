@@ -6,9 +6,7 @@ from itertools import permutations, product
 
 import pytest
 
-from kitespec.bounds import (
-    RADIUS_TOL, _poly_div_exact, _primitive, spectral_radius, sturm_chain, sturm_count_above,
-)
+from kitespec.bounds import GRID_BITS, spectral_radius
 from kitespec.charpoly import charpoly, kite_charpoly
 from kitespec.das import CensusRow
 from kitespec.enumeration import CanonicalKey, canonical_form
@@ -156,28 +154,95 @@ def lemma41_oracle(p_max: int, rhs_squared=None) -> tuple[int, set[tuple[int, in
     return cases, violations
 
 
+def _primitive(coeffs: list[int]) -> IntPolynomial:
+    """Divide an integer polynomial by the gcd of its coefficients, a
+    positive constant, so the sign is preserved."""
+    g = math.gcd(*coeffs) or 1
+    return IntPolynomial(tuple(c // g for c in coeffs))
+
+
+def sturm_chain(poly: IntPolynomial) -> list[IntPolynomial]:
+    """Sturm chain of ``poly`` by integer pseudo-remainders.  Each division
+    step scales the dividend by |lead(g)| > 0, and each remainder is reduced
+    to its primitive part, so every element is a positive multiple of the
+    rational remainder and the sign-variation counts are intact.  The last
+    element is gcd(poly, poly') up to a constant factor."""
+    chain = [poly, poly.derivative()]
+    while not chain[-1].is_zero() and chain[-1].degree > 0:
+        f, g = chain[-2], chain[-1]
+        rem = list(f.coeffs)
+        gc = g.coeffs
+        scale, sign = abs(gc[-1]), 1 if gc[-1] > 0 else -1
+        while len(rem) >= len(gc):
+            lead = rem.pop() * sign
+            if lead:
+                shift = len(rem) - len(gc) + 1
+                rem = [c * scale for c in rem]
+                for k, c in enumerate(gc[:-1]):
+                    rem[shift + k] -= lead * c
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if not rem:
+            break
+        chain.append(-_primitive(rem))
+    return chain
+
+
+def squarefree_part(poly: IntPolynomial) -> IntPolynomial:
+    """poly / gcd(poly, poly'), which has the same roots, each simple: long
+    division over Fraction by the last element of the Sturm chain, then
+    cleared of denominators."""
+    g = sturm_chain(poly)[-1].coeffs
+    rem, quo = [Fraction(c) for c in poly.coeffs], []
+    while len(rem) >= len(g):
+        factor = rem[-1] / g[-1]
+        quo.append(factor)
+        for i, c in enumerate(g):
+            rem[len(rem) - len(g) + i] -= factor * c
+        rem.pop()
+    if any(rem):
+        raise ArithmeticError(f"{g} does not divide {poly.coeffs}")
+    den = math.lcm(*(c.denominator for c in quo))
+    return IntPolynomial(tuple(int(c * den) for c in reversed(quo)))
+
+
+def sturm_count_above(chain: list[IntPolynomial], num: int, k: int) -> int:
+    """Number of distinct real roots in (num / 2**k, +inf) of a squarefree
+    polynomial, from the signs of its Sturm chain at num / 2**k, each the
+    sign of 2**(k*d) * f(num / 2**k) by integer Horner."""
+    def sign_at(f):
+        total = 0
+        for shift, c in enumerate(reversed(f.coeffs)):
+            total = total * num + (c << k * shift)
+        return (total > 0) - (total < 0)
+
+    def variations(values):
+        nz = [v > 0 for v in values if v]
+        return sum(a != b for a, b in zip(nz, nz[1:]))
+
+    return variations(map(sign_at, chain)) - variations(f.coeffs[-1] for f in chain)
+
+
 def largest_root_plain(poly: IntPolynomial) -> float:
-    """Oracle for ``bounds.largest_root``: the same Sturm-count bisection
-    with no bracket, every midpoint decided by its own Sturm count."""
-    chain = sturm_chain(poly)
-    gcd = chain[-1]
-    if gcd.degree > 0:
-        poly = _poly_div_exact(poly, _primitive(list(gcd.coeffs)))
-        chain = sturm_chain(poly)
-    bound = poly.degree + max((abs(c) for c in poly.coeffs[:-1]), default=0)
-    lo, hi = -(bound + 1), bound + 1
-    if sturm_count_above(chain, lo, 0) == 0:
+    """Oracle for ``bounds.largest_root``: the least multiple of
+    2**-GRID_BITS with no root above it, by a plain bisection of the grid
+    indices from Cauchy's root bound, every index decided by a Sturm count
+    on the squarefree part.  Shares no code with the Descartes counts."""
+    if poly.degree < 1:
+        raise ValueError("a constant polynomial has no real root")
+    chain = sturm_chain(squarefree_part(poly))
+    lead = abs(poly.coeffs[-1])
+    bound = 1 + max(-(-abs(c) // lead) for c in poly.coeffs[:-1])
+    lo, hi = -bound << GRID_BITS, bound << GRID_BITS  # every root in (lo, hi)
+    if sturm_count_above(chain, lo, GRID_BITS) == 0:
         raise ValueError("polynomial has no real root")
-    steps = max(1, math.ceil(math.log2(max(2 * (bound + 1) / RADIUS_TOL, 2))))
-    for k in range(1, steps + 1):
-        lo <<= 1
-        hi <<= 1
+    while hi - lo > 1:
         mid = (lo + hi) // 2
-        if sturm_count_above(chain, mid, k) >= 1:
+        if sturm_count_above(chain, mid, GRID_BITS):
             lo = mid
         else:
             hi = mid
-    return hi / (1 << steps)
+    return hi / (1 << GRID_BITS)
 
 
 # -- the paper's proof steps ------------------------------------------------

@@ -17,6 +17,7 @@ from math import comb
 import pytest
 
 from kitespec.bounds import (
+    GRID_BITS,
     kite_radius_bounds,
     spectral_radius,
     verify_lemma41_inequality,
@@ -61,7 +62,6 @@ from conftest import (
 )
 
 RADIUS_MARGIN = 1e-9
-RADIUS_TOL = 1e-10
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -192,7 +192,7 @@ def test_criterion_06_radius_sandwich():
     report(
         "spectral-radius sandwich brackets every kite radius with margin > 1e-9",
         ok and elapsed < 30,
-        f"{checked} (p,q) pairs, rho to {RADIUS_TOL}, {elapsed:.1f}s",
+        f"{checked} (p,q) pairs, rho to 2^-{GRID_BITS}, {elapsed:.1f}s",
     )
 
 

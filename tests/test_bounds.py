@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from kitespec import bounds
 from kitespec.bounds import (
-    _poly_div_exact,
+    GRID_BITS,
     LEMMA41_P_MAX,
-    RADIUS_TOL,
+    _roots_above,
     ConvergenceError,
     InequalityCheck,
     eigenvalues,
@@ -17,8 +17,6 @@ from kitespec.bounds import (
     kite_radius_bounds,
     largest_root,
     spectral_radius,
-    sturm_chain,
-    sturm_count_above,
     symmetric_eigenvalues,
     verify_lemma41_inequality,
 )
@@ -45,6 +43,8 @@ from conftest import (
     nikiforov_bound,
     random_graph,
     spectrum_sane,
+    squarefree_part,
+    sturm_chain,
 )
 
 
@@ -134,46 +134,34 @@ class TestTolerance:
 
 
 class TestSturm:
+    """Root counts by Descartes' rule of signs, and the radii built on them
+    (the class and its tests keep their names so that the test ids stay
+    stable)."""
+
     def test_largest_root_quadratic(self):
-        # x^2 - 2 -> sqrt(2)
-        assert largest_root(X**2 - 2) == pytest.approx(math.sqrt(2), abs=1e-10)
+        # x^2 - 2 -> sqrt(2), rounded up to the grid: (j - 1)^2 < 2 * 4^34 <= j^2
+        j = largest_root(X**2 - 2) * 2**GRID_BITS
+        assert j == int(j) and (j - 1) ** 2 < 2 << 2 * GRID_BITS <= j**2
 
     def test_largest_root_with_repeated_factors(self):
         # complete graph K5: (x - 4)(x + 1)^4
-        assert largest_root(charpoly(make_complete(5))) == pytest.approx(4.0, abs=1e-10)
-
-    @pytest.mark.parametrize("poly,chains", [
-        (X**2 - 2, 1),
-        (charpoly(make_path(6)), 1),
-        # K5: (x - 4)(x + 1)^4, so the chain is rebuilt for (x - 4)(x + 1)
-        (charpoly(make_complete(5)), 2),
-    ])
-    def test_chains_built(self, monkeypatch, poly, chains):
-        built = []
-        original = bounds.sturm_chain
-
-        def counting(f):
-            built.append(f)
-            return original(f)
-
-        monkeypatch.setattr(bounds, "sturm_chain", counting)
-        largest_root(poly)
-        assert len(built) == chains
+        assert largest_root(charpoly(make_complete(5))) == 4.0
 
     @pytest.mark.parametrize("poly,root", [
         ((X - 1) ** 2, 1.0),
-        # gcd(x^4, 4x^3) is the derivative itself, not primitive
         (X**4, 0.0),
         ((X**2 - 2) ** 2 * (X + 3), math.sqrt(2)),
         ((X - 1) ** 3 * (X + 2), 1.0),
     ])
     def test_largest_root_non_primitive_gcd(self, poly, root):
-        assert largest_root(poly) == pytest.approx(root, abs=1e-10)
+        # repeated roots need no squarefree part: the counts carry multiplicity
+        assert 0 <= largest_root(poly) - root < 2**-GRID_BITS
 
     def test_chain_matches_sympy(self, rng):
-        # sympy.sturm works on the squarefree part over QQ, so compare it with
-        # the chain of the primitive squarefree part; for repeated roots the
-        # last element of the full chain must be gcd(P, P') up to a constant.
+        # the oracle's Sturm chain: sympy.sturm works on the squarefree part
+        # over QQ, so compare it with the chain of the primitive squarefree
+        # part; for repeated roots the last element of the full chain must be
+        # gcd(P, P') up to a constant.
         sympy = pytest.importorskip("sympy")
         x = sympy.Symbol("x")
 
@@ -204,21 +192,38 @@ class TestSturm:
             gcd = sympy.gcd(to_sympy(poly), to_sympy(poly.derivative()))
             last = sturm_chain(poly)[-1]
             assert to_sympy(last) * gcd.LC() == gcd * last.coeffs[-1], poly
+            assert to_sympy(squarefree_part(poly)).monic() == sympy.sqf_part(to_sympy(poly)).monic()
 
-    def test_inexact_division_raises(self):
-        # an explicit check, so it holds under python -O as well
-        assert _poly_div_exact((X - 1) * (X + 2), X - 1) == X + 2
-        with pytest.raises(ArithmeticError):
-            _poly_div_exact(X**2 + 1, X - 1)
-        with pytest.raises(ArithmeticError):  # inexact first step: 1 = 0*2 + 1
-            _poly_div_exact(X**2 - 1, 2 * X + 2)
+    def test_count_matches_sympy(self, rng):
+        # at seeded dyadic points, every integer from -n to n among them, and
+        # at the two grid points around the largest root, the count is
+        # sympy's number of real roots above the point, with multiplicity
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        polys = [kite_charpoly(p, q) for p in range(1, 9) for q in range(0, 5)]
+        polys += [charpoly(make_complete(n)) for n in range(1, 13)]
+        polys += [charpoly(random_graph(rng, rng.randint(1, 12), rng.choice([0.2, 0.5, 0.8])))
+                  for _ in range(30)]
+        for poly in polys:
+            n = poly.degree
+            factors = sympy.sqf_list(sympy.Poly(list(reversed(poly.coeffs)), x))[1]
+            top = round(largest_root(poly) * 2**GRID_BITS)
+            points = [(num, 0) for num in range(-n, n + 1)]
+            points += [(top - 1, GRID_BITS), (top, GRID_BITS)]
+            for k in (1, 5, GRID_BITS):
+                points += [(rng.randint(-n << k, n << k), k) for _ in range(3)]
+            for num, k in points:
+                at = sympy.Rational(num, 2**k)
+                want = sum(m * (f.count_roots(at, None) - (f.eval(at) == 0)) for f, m in factors)
+                assert _roots_above(poly, num, k) == want, (poly, num, k)
 
     def test_count_above(self):
-        chain = sturm_chain(X**2 - 2)
-        # roots at +-sqrt(2); above 0 there is one
-        assert sturm_count_above(chain, 0, 0) == 1
-        assert sturm_count_above(chain, -2, 0) == 2
-        assert sturm_count_above(chain, 2, 0) == 0
+        # x^2 - 2 has roots +-sqrt(2); (x - 1)^3 (x + 2) counts its triple root thrice
+        assert [_roots_above(X**2 - 2, x, 0) for x in (-2, 0, 2)] == [2, 1, 0]
+        assert [_roots_above((X - 1) ** 3 * (X + 2), x, 0) for x in (-3, -2, 0, 1)] == [4, 3, 3, 0]
+        # a root on the point is not above it: 1/2, 1/2, 3/8 and 5/8
+        points = [(1, 1), (2, 2), (3, 3), (5, 3)]
+        assert [_roots_above((2 * X - 1) ** 2, num, k) for num, k in points] == [0, 0, 2, 0]
 
     def test_path_radius(self):
         # rho(P_n) = 2 cos(pi / (n+1))
@@ -227,17 +232,25 @@ class TestSturm:
             assert spectral_radius(make_path(n)) == pytest.approx(expect, abs=1e-9)
 
     def test_star_radius(self):
-        assert spectral_radius(make_star(4)) == pytest.approx(2.0, abs=1e-10)
+        assert spectral_radius(make_star(4)) == 2.0
 
     def test_complete_radius(self):
-        for p in range(2, 9):
-            assert spectral_radius(make_complete(p)) == pytest.approx(p - 1, abs=1e-10)
+        # an integer root is on the grid, so K_n gives n - 1 exactly
+        for n in range(1, 25):
+            assert spectral_radius(make_complete(n)) == n - 1, n
 
     def test_edgeless(self):
         # lambda^n goes through the search like any other polynomial
         for n in range(1, 25):
             rho = spectral_radius(from_edges(n, []))
             assert rho == 0.0 and math.copysign(1.0, rho) == 1.0, n
+
+    def test_isolated_vertex_keeps_the_radius(self, rng):
+        # P(G + K1) = x P(G): the radius depends on the largest root alone
+        for _ in range(200):
+            g = random_graph(rng, rng.randint(1, 23), rng.choice([0.2, 0.5, 0.8]))
+            plus_k1 = from_edges(g.n + 1, edge_list(g))
+            assert spectral_radius(g) == spectral_radius(plus_k1), edge_list(g)
 
     def test_jacobi_agrees_with_sturm(self, rng):
         for g in eigen_cases(rng):
@@ -250,22 +263,22 @@ def seeded_gnp_polys(rng, count=40, n_max=22):
             for _ in range(count)]
 
 
-def counting_sturm(monkeypatch) -> list[int]:
-    """Count the ``sturm_count_above`` calls that ``largest_root`` makes."""
+def counting_roots_above(monkeypatch) -> list[int]:
+    """Count the ``_roots_above`` calls that ``largest_root`` makes."""
     calls = [0]
-    original = bounds.sturm_count_above
+    original = bounds._roots_above
 
-    def counting(chain, num, k):
+    def counting(poly, num, k):
         calls[0] += 1
-        return original(chain, num, k)
+        return original(poly, num, k)
 
-    monkeypatch.setattr(bounds, "sturm_count_above", counting)
+    monkeypatch.setattr(bounds, "_roots_above", counting)
     return calls
 
 
 class TestCertifiedBracket:
     """``largest_root`` returns the plain bisection's float, bit for bit: the
-    float hint only chooses which exact Sturm counts bracket the root."""
+    float hint only chooses which exact counts bracket the root."""
 
     def test_gnp_bit_identical(self, rng):
         for poly in seeded_gnp_polys(rng):
@@ -297,9 +310,9 @@ class TestCertifiedBracket:
         X**4,
         (X**2 - 2) ** 2 * (X + 3),
         7 * X**2 - 3,
-        X**5 + 2 * X**2 + 3,  # one real root, four complex ones
-        3 * X**3 - 7 * X + 10**30,
-        # roots on a grid point: bound + 1 = r + 2 is a power of two
+        (2 * X - 1) ** 3 * (3 * X + 1) ** 2,  # not monic, a triple root at 1/2
+        (X - 10**10) * (3 * X - 7) * (X + 1),  # coefficients far above the roots' scale
+        # integer roots, on the grid
         X - 2,
         X - 6,
         X - 14,
@@ -307,8 +320,9 @@ class TestCertifiedBracket:
     def test_non_adjacency_bit_identical(self, poly):
         assert largest_root(poly) == largest_root_plain(poly)
 
-    @pytest.mark.parametrize("poly", [X**4 + 1, X**2 + 1, IntPolynomial((5,))])
+    @pytest.mark.parametrize("poly", [IntPolynomial((0,)), IntPolynomial((-3,)), IntPolynomial((5,))])
     def test_no_real_root_raises_alike(self, poly):
+        # a constant, the zero polynomial among them
         with pytest.raises(ValueError, match="no real root"):
             largest_root_plain(poly)
         with pytest.raises(ValueError, match="no real root"):
@@ -328,56 +342,34 @@ class TestCertifiedBracket:
             assert largest_root(poly) == rho, poly
 
     def test_sturm_evaluations_capped(self, monkeypatch, rng):
-        # one count for "a real root at all", then the two ends of the hint's
-        # cell when the hint is good; the plain bisection takes about 60
+        # the two grid points around the hint when it is good, at most one
+        # more when it is a cell off; the plain bisection takes about 70
         polys = seeded_gnp_polys(rng, count=60, n_max=24)
         polys += [kite_charpoly(p, n - p) for n in range(2, 25) for p in range(1, n + 1)]
-        calls = counting_sturm(monkeypatch)
+        calls = counting_roots_above(monkeypatch)
         for poly in polys:
             calls[0] = 0
             largest_root(poly)
-            assert calls[0] <= 4, poly
+            assert calls[0] <= 3, poly
 
     def test_coefficients_past_the_float_range_give_no_hint(self):
         assert math.isnan(bounds._root_hint(X**2 - 10**400))
 
     def test_no_hint_is_the_plain_bisection(self, monkeypatch, rng):
+        # with no hint the gallop starts at index 0: the same bits, in about
+        # 5/4 log2 j counts for the answer j / 2**GRID_BITS
         poly = charpoly(random_graph(rng, 22, 0.5))
-        calls = counting_sturm(monkeypatch)
+        calls = counting_roots_above(monkeypatch)
         monkeypatch.setattr(bounds, "_root_hint", lambda poly: math.nan)
-        largest_root(poly)
-        bound = poly.degree + max(abs(c) for c in poly.coeffs[:-1])
-        assert calls[0] == 1 + math.ceil(math.log2(2 * (bound + 1) / RADIUS_TOL))
+        rho = largest_root(poly)
+        assert rho == largest_root_plain(poly)
+        assert calls[0] <= 2 * int(rho * 2**GRID_BITS).bit_length()
 
     def test_bound_past_the_float_range(self):
-        # the step count is taken on integers once 2 (bound + 1) / RADIUS_TOL
-        # leaves the floats; the bits of every smaller bound stay put
+        # coefficients past the float range give no hint, and the search
+        # starts at 0 on integers of any size
         assert largest_root(X**2 - 10**400) == 1e200
         assert largest_root(X**2 - 10**300) == 1e150
-        with pytest.raises(ValueError, match="no real root"):
-            largest_root(X**2 + 10**400)
-
-    def test_step_count(self):
-        # below the float limit the float formula, whose rounding can miss the
-        # ceiling by one (bound = num below), so that no radius moves; past it
-        # the fewest halvings s >= 1 with 2**s >= 2 (bound + 1) / RADIUS_TOL
-        def exact(bound):
-            ratio, s = Fraction(2 * (bound + 1)) / Fraction(RADIUS_TOL), 1
-            while 2**s < ratio:
-                s += 1
-            return s
-
-        def formula(bound):
-            return max(1, math.ceil(math.log2(max(2 * (bound + 1) / RADIUS_TOL, 2))))
-
-        num, _ = RADIUS_TOL.as_integer_ratio()
-        assert bounds._bisection_steps(num) == formula(num) == exact(num) - 1
-        # num * 2**j - 1 puts the ratio on a power of two and num * 2**j just
-        # above one, where a ceiling is off by one
-        edges = [num * 2**j + d for j in (0, 10, 100, 990, 1000, 1100) for d in (-1, 0)]
-        for bound in [10**e for e in range(0, 420, 7)] + [3 * 10**e + 7 for e in (5, 297, 305, 400)] + edges:
-            want = formula(bound) if bound < 10**297 else exact(bound)
-            assert bounds._bisection_steps(bound) == want, bound
 
 
 class TestRadiusSandwich:

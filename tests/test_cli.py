@@ -433,6 +433,10 @@ class TestEnumerateCommand:
     def test_over_cap_is_usage_error(self, capsys):
         code, _, err = run(capsys, "enumerate", "--n", "15")
         assert code == EXIT_USAGE
+        # inside the order cap, but 106321628 classes: refused before any walk
+        code, out, err = run(capsys, "enumerate", "--n", "11", "--edges", "27")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "holds 106321628 classes, past the enumeration cap" in err
 
     @pytest.mark.parametrize("extra", [[], ["--edges", "4"], ["--connected"]])
     def test_lost_class_fails_polya_check(self, capsys, monkeypatch, tmp_path, extra):
@@ -525,7 +529,7 @@ GOLDEN_ARGVS = (
         ["spectrum"],
     ]
 )
-GOLDEN_SHA256 = "136d76f1a78090b136e9cb0001dd1b2593457f5e77fe3ae8194f79233c5b2066"
+GOLDEN_SHA256 = "8eb8a4d9dfb0cd2ee0471b94c9ee0430c6a0d26ece22b64e3ab97da72db0f594"
 
 
 def test_golden_outputs(capsys, monkeypatch):

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kitespec.enumeration import (
-    CONSTRAINED_ENUM_CAP,
+    ENUM_CLASS_CAP,
+    ENUM_ORDER_CAP,
     CanonicalKey,
     CorruptCacheError,
     EnumConstraints,
@@ -338,13 +339,25 @@ class TestEnumeration:
 
     def test_constraint_validation(self):
         with pytest.raises(EnumerationError):
-            EnumConstraints(10)  # beyond unconstrained cap
+            EnumConstraints(10)  # 12005168 classes
         with pytest.raises(EnumerationError):
-            EnumConstraints(CONSTRAINED_ENUM_CAP + 1, edges=5)
+            EnumConstraints(ENUM_ORDER_CAP + 1, edges=5)
         with pytest.raises(EnumerationError):
             EnumConstraints(4, edges=7)
         with pytest.raises(EnumerationError):
             list(enumerate_graphs(EnumConstraints(4), partition=(4, 4)))
+
+    def test_space_size_cap(self):
+        # the largest space on 10 vertices is the cap; (11, 27), inside the
+        # order cap, holds 106321628 classes and is refused before any walk
+        assert ENUM_CLASS_CAP == max(class_count(10, m) for m in range(46)) == class_count(10, 22)
+        for n, edges in ((11, 27), (10, None), (11, 17), (11, None)):
+            start = time.monotonic()
+            with pytest.raises(EnumerationError, match="past the enumeration cap"):
+                EnumConstraints(n, edges)
+            assert time.monotonic() - start < 1
+        for n, edges in ((10, 22), (10, 23), (11, 13), (11, 16), (9, None)):
+            assert EnumConstraints(n, edges) == EnumConstraints(n=n, edges=edges)
 
     def test_golden_stream_n7(self):
         assert stream_sha256(EnumConstraints(7)) == STREAM_SHA256[7]

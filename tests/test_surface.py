@@ -111,4 +111,4 @@ class TestScripts:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
-        assert "past the enumeration cap 9" in proc.stderr
+        assert "--max-n 10: EnumConstraints(n=10, edges=None) holds 12005168 classes" in proc.stderr
