@@ -14,16 +14,17 @@ searched through the sparser space: its classes are enumerated, where the
 edge window prunes far harder, and each is complemented before the
 prefilter and the comparison, which see only graphs of the target's own
 space.  A mate of such a target is reported as the complement of a sparse
-representative.  The merged class count must equal Polya's count for the
-space (``enumeration.class_count``), so a walk that loses or repeats a class
-fails loudly instead of passing as exhaustive.
+representative.  The walked space is built once, and the merged class
+count must equal its own Polya count (``EnumConstraints.classes``), so a
+walk that loses or repeats a class fails loudly instead of passing as
+exhaustive.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from itertools import chain, islice
 from math import comb
 
@@ -32,11 +33,12 @@ from .charpoly import charpoly, kite_charpoly, kite_charpoly_series, walk_count 
 from .graph import (
     Graph, KiteParams, _trusted_graph, decode_graph6, encode_graph6, make_kite, triangle_count,
 )
-from .enumeration import EnumConstraints, canonical_form, class_count, enumerate_graphs
+from .enumeration import EnumConstraints, canonical_form, enumerate_graphs
 
 VERDICT_DAS = "DAS-confirmed-at-scale"
 VERDICT_MATES = "mates-found"
-# the largest order p + q a kite search takes: 10120 classes for Kite_{7,2}
+# the largest order p + q a kite search takes; its largest search is Kite_{6,3},
+# the 34040 classes with 9 vertices and 18 edges
 DESK_ORDER_MAX = 9
 
 
@@ -68,20 +70,19 @@ def _scan_partition(args) -> tuple[int, int, list[str]]:
     Returns (classes_scanned, prefilter_survivors, mate graph6 strings).
     Top-level so it pickles for process pools.
     """
-    target_g6, part, total = args
+    target_g6, space, part, total = args
     target = decode_graph6(target_g6)
-    n, m = target.n, target.edge_count()
+    n = target.n
     target_poly = charpoly(target)
     target_key = canonical_form(target)
     target_t = triangle_count(target)
-    # a dense space is walked as the complements of the sparse one
-    flip = 2 * m > comb(n, 2)
-    constraints = EnumConstraints(n=n, edges=comb(n, 2) - m if flip else m)
+    # a dense target's space is walked as the complements of the sparse one
+    flip = space.edges != target.edge_count()
     partition = (part, total) if total > 1 else None
     full = (1 << n) - 1
     scanned = survivors = 0
     mates = []
-    for g in enumerate_graphs(constraints, partition):
+    for g in enumerate_graphs(space, partition):
         if flip:
             g = _trusted_graph(n, tuple(full & ~row & ~(1 << i) for i, row in enumerate(g.rows)))
         scanned += 1
@@ -96,24 +97,21 @@ def _scan_partition(args) -> tuple[int, int, list[str]]:
     return scanned, survivors, mates
 
 
-def find_cospectral_mates(
-    target: Graph,
-    *,
-    target_params: KiteParams | None = None,
-    workers: int = 1,
-    claim: str = "exhaustive",
-) -> SearchReport:
+def find_cospectral_mates(target: Graph, workers: int = 1) -> SearchReport:
     """Exhaustive cospectral-mate search over all isomorphism classes with
     the target's vertex and edge counts, disconnected graphs included, walked
     through the sparser of the space and its complement (module docstring).
     The space is split into one partition per worker, at most one per CPU;
-    the merged report does not depend on the split.  Raises
-    SearchInvariantError when the classes scanned differ from Polya's count
-    or a reported mate fails a mate invariant."""
+    the merged report does not depend on the split.  It takes no kite
+    options (``target_params`` None, claim "exhaustive").  Raises
+    EnumerationError before any worker starts for a space past the caps, and
+    SearchInvariantError when the classes scanned differ from the space's
+    Polya count or a reported mate fails a mate invariant."""
     n, m = target.n, target.edge_count()
     target_g6 = encode_graph6(target)
+    space = EnumConstraints(n, min(m, comb(n, 2) - m))
     total = max(1, min(workers, os.cpu_count() or 1))
-    jobs = [(target_g6, k, total) for k in range(total)]
+    jobs = [(target_g6, space, k, total) for k in range(total)]
     if total == 1:
         results = [_scan_partition(jobs[0])]
     else:
@@ -121,18 +119,17 @@ def find_cospectral_mates(
             results = list(pool.map(_scan_partition, jobs))
     scanned, survivors, part_mates = zip(*results)
     classes_scanned = sum(scanned)
-    expected = class_count(n, m)
-    if classes_scanned != expected:
+    if classes_scanned != space.classes:
         raise SearchInvariantError(
             f"the search scanned {classes_scanned} classes; Polya's count for "
-            f"{n} vertices and {m} edges is {expected}"
+            f"{n} vertices and {m} edges is {space.classes}"
         )
     mates = sorted(set(chain.from_iterable(part_mates)))
     for mate_g6 in mates:
         _assert_mate_invariants(target, mate_g6)
     return SearchReport(
         target=target_g6,
-        target_params=target_params,
+        target_params=None,
         n=n,
         m=m,
         t=triangle_count(target),
@@ -141,7 +138,7 @@ def find_cospectral_mates(
         prefilter_survivors=sum(survivors),
         mates=mates,
         verdict=VERDICT_MATES if mates else VERDICT_DAS,
-        claim=claim,
+        claim="exhaustive",
     )
 
 
@@ -225,18 +222,14 @@ def verify_kite(p: int, q: int, workers: int = 1) -> SearchReport:
     triangle count is not the kite's."""
     if p < 3 or q < 2 or p + q > DESK_ORDER_MAX:
         raise ValueError(f"desk-scale range is p >= 3, q >= 2 and p + q <= {DESK_ORDER_MAX}")
-    report = find_cospectral_mates(
-        make_kite(p=p, q=q),
-        target_params=KiteParams(p, q),
-        workers=workers,
-        claim="exhaustive" if q == 2 else "evidence",
-    )
+    report = find_cospectral_mates(make_kite(p=p, q=q), workers)
     m, t = comb(p, 2) + q, comb(p, 3)
     if (report.m, report.t) != (m, t):
         raise SearchInvariantError(
             f"Kite_{{{p},{q}}} has m={report.m}, t={report.t}; expected m={m}, t={t}"
         )
-    return report
+    return replace(report, target_params=KiteParams(p, q),
+                   claim="exhaustive" if q == 2 else "evidence")
 
 
 def verify_theorem42(p: int, workers: int = 1) -> SearchReport:

@@ -79,7 +79,7 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain
 from math import comb, factorial, gcd
@@ -91,7 +91,7 @@ from .graph import Graph, _bits, _trusted_graph, decode_graph6, encode_graph6
 from .graph import is_connected, triangle_count  # noqa: F401
 
 ENUM_ORDER_CAP = 11
-# the largest space on 10 vertices, class_count(10, 22): every space on 9,
+# the classes of (10, 22), the largest space on 10 vertices: every space on 9,
 # none unconstrained on 10, and (11, m) for m <= 16 or m >= 39 fit under it
 ENUM_CLASS_CAP = 1_358_852
 
@@ -113,10 +113,13 @@ class CanonicalKey:
 @dataclass(frozen=True)
 class EnumConstraints:
     """A space: the classes on ``n`` vertices, with ``edges`` edges if given.
-    A space of more than ENUM_CLASS_CAP classes, by Polya's count, or on more
-    than ENUM_ORDER_CAP vertices is refused before any walk starts."""
+    ``classes`` is Polya's count of them, the one count every walk and cache
+    file of the space is checked against.  A space of more than
+    ENUM_CLASS_CAP classes or on more than ENUM_ORDER_CAP vertices is
+    refused before any walk starts."""
     n: int
     edges: int | None = None
+    classes: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 0:
@@ -127,10 +130,10 @@ class EnumConstraints:
             raise EnumerationError(
                 f"n={self.n} is past the enumeration cap of {ENUM_ORDER_CAP} vertices"
             )
-        count = class_count(self.n, self.edges)
-        if count > ENUM_CLASS_CAP:
+        object.__setattr__(self, "classes", class_count(self.n, self.edges))
+        if self.classes > ENUM_CLASS_CAP:
             raise EnumerationError(
-                f"{self} holds {count} classes, past the enumeration cap of {ENUM_CLASS_CAP}"
+                f"{self} holds {self.classes} classes, past the enumeration cap of {ENUM_CLASS_CAP}"
             )
 
 
@@ -564,7 +567,7 @@ def cache_load(cache_dir: str | Path, constraints: EnumConstraints) -> list[Grap
     if checksum != _sha256(body):
         raise CorruptCacheError(f"cache entry {path} fails verification")
     lines = body.splitlines()
-    if len(lines) != class_count(constraints.n, constraints.edges):
+    if len(lines) != constraints.classes:
         raise CorruptCacheError(f"cache entry {path} does not hold Polya's count of classes")
     return [decode_graph6(line) for line in lines]
 
@@ -581,8 +584,10 @@ def enumerate_cached(
         except (FileNotFoundError, CorruptCacheError):
             pass
     graphs = list(enumerate_graphs(constraints))
-    if len(graphs) != (polya := class_count(constraints.n, constraints.edges)):
-        raise EnumerationError(f"the walk yielded {len(graphs)} classes; Polya's count is {polya}")
+    if len(graphs) != constraints.classes:
+        raise EnumerationError(
+            f"the walk yielded {len(graphs)} classes; Polya's count is {constraints.classes}"
+        )
     if cache_dir is not None:
         cache_store(cache_dir, constraints, graphs)
     return graphs

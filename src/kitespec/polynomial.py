@@ -90,8 +90,8 @@ class IntPolynomial:
     def to_json(self) -> list[str]:
         return [str(c) for c in self.coeffs]
 
-    def pretty(self, var: str = "λ") -> str:
-        """Human-readable form, highest power first."""
+    def pretty(self) -> str:
+        """Human-readable form in λ, highest power first."""
         if self.is_zero():
             return "0"
         parts = []
@@ -105,7 +105,7 @@ class IntPolynomial:
             else:
                 coef = "" if mag == 1 else str(mag)
                 power = "" if k == 1 else str(k).translate(_SUPERSCRIPTS)
-                term = f"{coef}{var}{power}"
+                term = f"{coef}λ{power}"
             if not parts:
                 parts.append(term if c > 0 else f"−{term}")
             else:

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from kitespec import das
+from kitespec import das, enumeration
 from kitespec.charpoly import are_cospectral, charpoly, kite_charpoly
 from kitespec.das import (
     VERDICT_DAS,
@@ -17,13 +17,13 @@ from kitespec.das import (
     verify_theorem31,
     verify_theorem42,
 )
-from kitespec.enumeration import EnumConstraints, canonical_form, enumerate_graphs
+from kitespec.enumeration import EnumConstraints, EnumerationError, canonical_form, enumerate_graphs
 from kitespec.graph import (
     Graph,
-    KiteParams,
     decode_graph6,
     encode_graph6,
     from_edges,
+    make_complete,
     make_gb,
     make_gc,
     make_kite,
@@ -117,9 +117,7 @@ class TestMateSearch:
 
     def test_small_kites_have_no_mates(self):
         for p, q in [(3, 1), (3, 2), (4, 1), (4, 2), (5, 2)]:
-            report = find_cospectral_mates(
-                make_kite(p=p, q=q), target_params=KiteParams(p, q)
-            )
+            report = find_cospectral_mates(make_kite(p=p, q=q))
             assert report.verdict == VERDICT_DAS, (p, q)
 
     def test_prefilter_is_lossless(self):
@@ -217,16 +215,37 @@ class TestMateSearch:
         assert (report.classes_scanned, report.prefilter_survivors) == (1, 1)
         assert report.mates == [] and report.verdict == VERDICT_DAS
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_polya_is_counted_once(self, monkeypatch, serial_pool, workers):
+        # the parent's space owns the count: no worker and no merge recounts
+        monkeypatch.setattr(das.os, "cpu_count", lambda: 2)
+        calls = []
+        count = enumeration.class_count
+        monkeypatch.setattr(enumeration, "class_count", lambda *a: calls.append(a) or count(*a))
+        report = find_cospectral_mates(make_kite(p=4, q=2), workers=workers)
+        # Kite_{4,2} has 8 of the 15 pairs, so the walk is (6, 7)
+        assert calls == [(6, 7)]
+        assert report.classes_scanned == count(6, 7)
+        assert not hasattr(das, "class_count")
+
+    def test_space_past_the_cap_starts_no_pool(self, monkeypatch, serial_pool):
+        monkeypatch.setattr(das.os, "cpu_count", lambda: 2)
+        with pytest.raises(EnumerationError, match="past the enumeration cap"):
+            find_cospectral_mates(make_complete(12), workers=2)
+        assert serial_pool == []
+
     def test_report_fields(self):
         target = make_kite(p=4, q=1)
-        report = find_cospectral_mates(target, target_params=KiteParams(4, 1))
+        report = find_cospectral_mates(target)
         assert report.target == encode_graph6(target)
         assert (report.n, report.m, report.t) == (5, 7, 4)
         assert report.classes_scanned > 0
-        assert report.claim == "exhaustive"
-        d = report.to_json()
-        assert d["target_params"] == {"p": 4, "q": 1}
-        assert d["verdict"] == VERDICT_DAS
+        assert (report.target_params, report.claim) == (None, "exhaustive")
+        assert report.to_json()["verdict"] == VERDICT_DAS
+        # verify_kite stamps the kite and its claim onto the report
+        for p, q, claim in [(4, 2, "exhaustive"), (3, 3, "evidence")]:
+            d = verify_kite(p, q).to_json()
+            assert (d["target_params"], d["claim"]) == ({"p": p, "q": q}, claim)
 
 
 class TestKiteCensus:
@@ -268,6 +287,24 @@ class TestExhaustiveChecks:
     def test_range_guard(self, p, q):
         with pytest.raises(ValueError, match="desk-scale range"):
             verify_kite(p, q)
+
+    def test_largest_desk_space(self):
+        # the walked space of every kite in the desk range: Kite_{6,3}'s
+        # (9, 18) is the largest
+        sizes = {}
+        for n in range(5, das.DESK_ORDER_MAX + 1):
+            for p in range(3, n - 1):
+                m = comb(p, 2) + n - p
+                sizes[p, n - p] = EnumConstraints(n, min(m, comb(n, 2) - m)).classes
+        assert max(sizes, key=sizes.get) == (6, 3)
+        assert (sizes[6, 3], sizes[5, 4], sizes[7, 2]) == (34040, 15615, 10120)
+
+    @extended
+    @pytest.mark.parametrize("p, q, classes, survivors", [(6, 3, 34040, 9), (5, 4, 15615, 68)])
+    def test_largest_desk_searches(self, p, q, classes, survivors):
+        report = verify_kite(p, q)
+        assert (report.classes_scanned, report.prefilter_survivors) == (classes, survivors)
+        assert (report.verdict, report.claim) == (VERDICT_DAS, "evidence")
 
     def test_evidence_mode(self):
         report = verify_kite(3, 3)

@@ -542,6 +542,18 @@ class TestCache:
         assert len(enumerate_cached(cons, tmp_path)) == ALL_COUNTS[4]
         assert len(cache_load(tmp_path, cons)) == ALL_COUNTS[4]
 
+    @pytest.mark.parametrize("cached", ["miss", "hit", "short"])
+    def test_polya_is_counted_once_per_call(self, tmp_path, monkeypatch, cached):
+        # the space owns its count; neither the load nor the walk recounts
+        if cached != "miss":
+            full = list(enumerate_graphs(EnumConstraints(5)))
+            cache_store(tmp_path, EnumConstraints(5), full if cached == "hit" else full[1:])
+        calls = []
+        count = enumeration.class_count
+        monkeypatch.setattr(enumeration, "class_count", lambda *a: calls.append(a) or count(*a))
+        assert len(enumerate_cached(EnumConstraints(5), tmp_path)) == ALL_COUNTS[5]
+        assert calls == [(5, None)]
+
     def test_each_space_has_its_own_file(self, tmp_path):
         spaces = [EnumConstraints(5), EnumConstraints(5, edges=4)]
         paths = [cache_store(tmp_path, c, enumerate_graphs(c)) for c in spaces]
