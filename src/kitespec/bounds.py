@@ -7,9 +7,10 @@ tolerance.  The spectral radius is additionally certified on the exact
 characteristic polynomial, so the headline quantity never depends on
 floating point alone.  Such a polynomial is real-rooted, so Descartes' rule
 of signs, applied to an integer Taylor shift, counts its roots above a
-dyadic point exactly; the radius is the least multiple of 2**-GRID_BITS
-with no root above it.  A float hint only chooses the grid points whose
-counts place the root (``largest_root``).
+rational point exactly.  One counter serves the radius, the least multiple
+of 2**-GRID_BITS with no root above it, placed by counts at grid points a
+float hint chooses (``largest_root``), and the paper's radius sandwich,
+decided by counts at its exact bounds (``kite_sandwich_holds``).
 """
 
 from __future__ import annotations
@@ -114,14 +115,14 @@ def eigenvalues(g: Graph) -> list[float]:
 # -- roots by Descartes' rule of signs -----------------------------------------
 
 
-def _roots_above(poly: IntPolynomial, num: int, k: int) -> int:
-    """Number of roots of a real-rooted ``poly`` above num / 2**k, counted
-    with multiplicity: the sign variations of the integer polynomial
-    2**(k*d) * poly((y + num) / 2**k), whose positive roots they are.
+def _roots_above(poly: IntPolynomial, num: int, den: int) -> int:
+    """Number of roots of a real-rooted ``poly`` above num / den, den > 0,
+    counted with multiplicity: the sign variations of the integer polynomial
+    den**d * poly((y + num) / den), whose positive roots they are.
     Descartes' rule of signs counts them exactly when every root is real.
     The Taylor shift by num takes O(d**2) integer steps."""
     d = poly.degree
-    a = [c << k * (d - i) for i, c in enumerate(poly.coeffs)]
+    a = [c * den ** (d - i) for i, c in enumerate(poly.coeffs)]
     for i in range(d):
         for j in range(d - 1, i - 1, -1):
             a[j] += num * a[j + 1]
@@ -161,20 +162,22 @@ def largest_root(poly: IntPolynomial) -> float:
     above it, found by exact root counts, so it depends on the root alone.
     Raises ValueError for a constant.
 
-    A gallop out from the grid index of a float hint (index 0 when the hint
-    is not finite) brackets j, in 2 counts when the hint is good, and a
-    bisection on j finishes.  A wrong hint costs counts, never bits."""
+    A gallop from the grid index of a float hint (0 if not finite, clamped
+    to Cauchy's root bound) brackets j, in 2 counts for a good hint, and a
+    bisection finishes.  A wrong hint costs counts, never bits."""
     if poly.degree < 1:
         raise ValueError("a constant polynomial has no real root")
 
     def above(j: int) -> bool:
-        return _roots_above(poly, j, GRID_BITS) > 0
+        return _roots_above(poly, j, 1 << GRID_BITS) > 0
 
     hint = _root_hint(poly)
     at = 0
     if math.isfinite(hint):
         num, den = hint.as_integer_ratio()
-        at = (num << GRID_BITS) // den
+        *cs, lead = poly.coeffs  # Cauchy: every root has |x| < 1 + max |c_i / c_d|
+        cap = (1 + max(-(-abs(c) // abs(lead)) for c in cs)) << GRID_BITS
+        at = max(-cap, min((num << GRID_BITS) // den, cap))
     # a root above x_lo, none above x_hi
     step = 1
     if above(at):
@@ -212,21 +215,37 @@ def _radius_lower(p: int) -> Fraction:
     return p - 1 + Fraction(p + 1, p**3)
 
 
+def _radius_upper(p: int) -> Fraction:
+    """p-1 + 1/(4p) + 1/(p^2 - 2p), the kite radius upper bound, exactly."""
+    return p - 1 + Fraction(p + 2, 4 * p * (p - 2))
+
+
 def kite_radius_bounds(p: int) -> tuple[float, float]:
     """Sandwich (lower, upper) for the kite spectral radius, valid for p >= 3
-    and any q >= 1: p-1 + 1/p^2 + 1/p^3 < rho < p-1 + 1/(4p) + 1/(p^2 - 2p).
-    Raises ValueError once p is so large that the float bounds no longer
-    separate (from p = 2**26) or overflow."""
+    and any q >= 1: p-1 + 1/p^2 + 1/p^3 < rho < p-1 + 1/(4p) + 1/(p^2 - 2p),
+    each bound correctly rounded.  Raises ValueError once p is so large that
+    the float bounds no longer separate (from p = 2**26 + 1) or overflow."""
     if p < 3:
         raise ValueError("bounds require p >= 3")
     try:
-        lower = float(_radius_lower(p))
-        upper = p - 1 + 1.0 / (4 * p) + 1.0 / (p * p - 2 * p)
+        lower, upper = float(_radius_lower(p)), float(_radius_upper(p))
     except OverflowError:
         lower = upper = math.nan
     if not lower < upper:
         raise ValueError("p is too large for float bounds")
     return lower, upper
+
+
+def kite_sandwich_holds(p: int, poly: IntPolynomial) -> bool:
+    """Whether the largest root of ``poly``, a kite's characteristic
+    polynomial with clique size p >= 3, is strictly inside the exact
+    sandwich: a root above the lower bound, none above the upper.  None is
+    on the upper bound, which is not an integer: by the rational root
+    theorem a monic integer polynomial has no other rational root."""
+    if p < 3:
+        raise ValueError("bounds require p >= 3")
+    return (_roots_above(poly, *_radius_lower(p).as_integer_ratio()) > 0
+            and _roots_above(poly, *_radius_upper(p).as_integer_ratio()) == 0)
 
 
 def kite_clique_bound(p: int, q: int) -> int:

@@ -194,16 +194,11 @@ def cmd_bounds(args) -> int:
         if args.q < 1:
             raise ValueError("the radius sandwich needs q >= 1")
         _check_order(args.p + args.q)  # the kite must fit the graph cap
-        rho = bounds_mod.largest_root(kite_charpoly(args.p, args.q))
-        holds = lower < rho < upper
+        poly = kite_charpoly(args.p, args.q)
+        rho, holds = bounds_mod.largest_root(poly), bounds_mod.kite_sandwich_holds(args.p, poly)
         payload.update(q=args.q, spectral_radius=rho, sandwich_holds=holds)
         text += f"; rho(Kite_{{{args.p},{args.q}}}) = {rho:.10f} ({'ok' if holds else 'VIOLATED'})"
-    _print(
-        args,
-        json_payload=payload,
-        csv_rows=[payload],
-        text=text,
-    )
+    _print(args, json_payload=payload, csv_rows=[payload], text=text)
     return EXIT_OK if holds else EXIT_THEOREM_CONTRADICTED
 
 

@@ -16,10 +16,12 @@ from math import comb
 
 import pytest
 
+from kitespec import bounds
 from kitespec.bounds import (
     GRID_BITS,
-    kite_radius_bounds,
-    spectral_radius,
+    _roots_above,
+    kite_sandwich_holds,
+    largest_root,
     verify_lemma41_inequality,
 )
 from kitespec.charpoly import (
@@ -61,7 +63,8 @@ from conftest import (
     make_star,
 )
 
-RADIUS_MARGIN = 1e-9
+RADIUS_MARGIN = Fraction(1, 10**9)
+SANDWICH_KITES = [(p, q) for p in range(3, 13) for q in range(1, 11)]
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -178,22 +181,48 @@ def test_criterion_05_exhaustive_mate_search():
     )
 
 
+def sandwich_with_margin(p: int, q: int) -> bool:
+    """The radius of the built Kite_{p,q} is inside the exact sandwich, and
+    more than RADIUS_MARGIN inside it: a root above lower + margin, none
+    above upper - margin, each decided by an exact root count."""
+    poly = charpoly(make_kite(p=p, q=q))
+    lower = bounds._radius_lower(p) + RADIUS_MARGIN
+    upper = bounds._radius_upper(p) - RADIUS_MARGIN
+    return (
+        kite_sandwich_holds(p, poly)
+        and _roots_above(poly, *lower.as_integer_ratio()) > 0
+        and _roots_above(poly, *upper.as_integer_ratio()) == 0
+    )
+
+
 def test_criterion_06_radius_sandwich():
     start = time.monotonic()
-    ok = True
-    checked = 0
-    for p in range(3, 13):
-        lower, upper = kite_radius_bounds(p)
-        for q in range(1, 11):
-            rho = spectral_radius(make_kite(p=p, q=q))
-            ok = ok and (rho - lower > RADIUS_MARGIN) and (upper - rho > RADIUS_MARGIN)
-            checked += 1
+    ok = all([sandwich_with_margin(p, q) for p, q in SANDWICH_KITES])
     elapsed = time.monotonic() - start
     report(
         "spectral-radius sandwich brackets every kite radius with margin > 1e-9",
         ok and elapsed < 30,
-        f"{checked} (p,q) pairs, rho to 2^-{GRID_BITS}, {elapsed:.1f}s",
+        f"{len(SANDWICH_KITES)} (p,q) pairs, exact root counts, {elapsed:.1f}s",
     )
+
+
+def _grid_radius(p: int, q: int) -> Fraction:
+    """Kite_{p,q}'s radius rounded up to the grid, less than 2**-GRID_BITS above it."""
+    return Fraction(round(largest_root(charpoly(make_kite(p, q))) * 2**GRID_BITS), 2**GRID_BITS)
+
+
+@pytest.mark.parametrize("plant", ["below-rho", "inside-margin"])
+def test_criterion_06_catches_a_wrong_upper_bound(monkeypatch, plant):
+    # an upper bound below every radius breaks the sandwich itself; one just
+    # above Kite_{p,10}'s radius, the largest of each p's, keeps the sandwich
+    # but not the 1e-9 margin
+    if plant == "below-rho":
+        monkeypatch.setattr(bounds, "_radius_upper", bounds._radius_lower)
+    else:
+        monkeypatch.setattr(bounds, "_radius_upper", lambda p: _grid_radius(p, 10))
+    exact = [kite_sandwich_holds(p, charpoly(make_kite(p, q))) for p, q in SANDWICH_KITES]
+    assert exact == [plant == "inside-margin"] * len(SANDWICH_KITES)
+    assert not any(sandwich_with_margin(p, 10) for p in range(3, 13))
 
 
 def test_criterion_07_clique_bound_inequality():

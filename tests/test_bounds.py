@@ -15,6 +15,7 @@ from kitespec.bounds import (
     eigenvalues,
     kite_clique_bound,
     kite_radius_bounds,
+    kite_sandwich_holds,
     largest_root,
     spectral_radius,
     symmetric_eigenvalues,
@@ -199,31 +200,42 @@ class TestSturm:
         # at the two grid points around the largest root, the count is
         # sympy's number of real roots above the point, with multiplicity
         sympy = pytest.importorskip("sympy")
-        x = sympy.Symbol("x")
         polys = [kite_charpoly(p, q) for p in range(1, 9) for q in range(0, 5)]
         polys += [charpoly(make_complete(n)) for n in range(1, 13)]
         polys += [charpoly(random_graph(rng, rng.randint(1, 12), rng.choice([0.2, 0.5, 0.8])))
                   for _ in range(30)]
         for poly in polys:
             n = poly.degree
-            factors = sympy.sqf_list(sympy.Poly(list(reversed(poly.coeffs)), x))[1]
             top = round(largest_root(poly) * 2**GRID_BITS)
-            points = [(num, 0) for num in range(-n, n + 1)]
-            points += [(top - 1, GRID_BITS), (top, GRID_BITS)]
+            points = [(num, 1) for num in range(-n, n + 1)]
+            points += [(top - 1, 1 << GRID_BITS), (top, 1 << GRID_BITS)]
             for k in (1, 5, GRID_BITS):
-                points += [(rng.randint(-n << k, n << k), k) for _ in range(3)]
-            for num, k in points:
-                at = sympy.Rational(num, 2**k)
-                want = sum(m * (f.count_roots(at, None) - (f.eval(at) == 0)) for f, m in factors)
-                assert _roots_above(poly, num, k) == want, (poly, num, k)
+                points += [(rng.randint(-n << k, n << k), 1 << k) for _ in range(3)]
+            assert_counts_match_sympy(sympy, poly, points)
+
+    def test_count_matches_sympy_off_the_grid(self, rng):
+        # at seeded rationals of odd denominators, and at both exact sandwich
+        # bounds of Kite_{p,q}
+        sympy = pytest.importorskip("sympy")
+        for p in range(3, 13):
+            for q in range(1, 6):
+                poly = kite_charpoly(p, q)
+                points = [bounds._radius_lower(p).as_integer_ratio(),
+                          bounds._radius_upper(p).as_integer_ratio()]
+                for den in (3, 7, 10**9 + 7):
+                    points += [(rng.randint(-(p + q) * den, (p + q) * den), den)]
+                assert_counts_match_sympy(sympy, poly, points)
 
     def test_count_above(self):
         # x^2 - 2 has roots +-sqrt(2); (x - 1)^3 (x + 2) counts its triple root thrice
-        assert [_roots_above(X**2 - 2, x, 0) for x in (-2, 0, 2)] == [2, 1, 0]
-        assert [_roots_above((X - 1) ** 3 * (X + 2), x, 0) for x in (-3, -2, 0, 1)] == [4, 3, 3, 0]
+        assert [_roots_above(X**2 - 2, x, 1) for x in (-2, 0, 2)] == [2, 1, 0]
+        assert [_roots_above((X - 1) ** 3 * (X + 2), x, 1) for x in (-3, -2, 0, 1)] == [4, 3, 3, 0]
         # a root on the point is not above it: 1/2, 1/2, 3/8 and 5/8
-        points = [(1, 1), (2, 2), (3, 3), (5, 3)]
-        assert [_roots_above((2 * X - 1) ** 2, num, k) for num, k in points] == [0, 0, 2, 0]
+        points = [(1, 1 << 1), (2, 1 << 2), (3, 1 << 3), (5, 1 << 3)]
+        assert [_roots_above((2 * X - 1) ** 2, num, den) for num, den in points] == [0, 0, 2, 0]
+        # and at rationals off the grid: 1/3 and 2/3 around 1/2, 1/2 as 3/6
+        points = [(1, 3), (2, 3), (3, 6)]
+        assert [_roots_above((2 * X - 1) ** 2, num, den) for num, den in points] == [2, 0, 0]
 
     def test_path_radius(self):
         # rho(P_n) = 2 cos(pi / (n+1))
@@ -258,6 +270,17 @@ class TestSturm:
                 assert eigenvalues(g)[0] == pytest.approx(spectral_radius(g), abs=1e-10)
 
 
+def assert_counts_match_sympy(sympy, poly, points):
+    """``_roots_above`` at each (num, den) is sympy's number of real roots
+    above num / den, with multiplicity."""
+    x = sympy.Symbol("x")
+    factors = sympy.sqf_list(sympy.Poly(list(reversed(poly.coeffs)), x))[1]
+    for num, den in points:
+        at = sympy.Rational(num, den)
+        want = sum(m * (f.count_roots(at, None) - (f.eval(at) == 0)) for f, m in factors)
+        assert _roots_above(poly, num, den) == want, (poly, num, den)
+
+
 def seeded_gnp_polys(rng, count=40, n_max=22):
     return [charpoly(random_graph(rng, rng.randint(2, n_max), rng.choice([0.2, 0.5, 0.8])))
             for _ in range(count)]
@@ -268,9 +291,9 @@ def counting_roots_above(monkeypatch) -> list[int]:
     calls = [0]
     original = bounds._roots_above
 
-    def counting(poly, num, k):
+    def counting(poly, num, den):
         calls[0] += 1
-        return original(poly, num, k)
+        return original(poly, num, den)
 
     monkeypatch.setattr(bounds, "_roots_above", counting)
     return calls
@@ -341,6 +364,18 @@ class TestCertifiedBracket:
             monkeypatch.setattr(bounds, "_root_hint", lambda poly: wrong(rho))
             assert largest_root(poly) == rho, poly
 
+    def test_far_hint_starts_at_the_root_bound(self, monkeypatch, rng):
+        # a hint past Cauchy's bound B is clamped to +-B, so it costs counts
+        # on the scale of B, not of the hint: 1e300 took about 1300 counts
+        poly = charpoly(random_graph(rng, 22, 0.5))
+        bound = 1 + max(-(-abs(c) // poly.coeffs[-1]) for c in poly.coeffs[:-1])
+        calls = counting_roots_above(monkeypatch)
+        for hint in (1e300, -1e300):
+            calls[0] = 0
+            monkeypatch.setattr(bounds, "_root_hint", lambda poly, hint=hint: hint)
+            assert largest_root(poly) == largest_root_plain(poly)
+            assert calls[0] <= 2 * ((2 * bound) << GRID_BITS).bit_length(), hint
+
     def test_sturm_evaluations_capped(self, monkeypatch, rng):
         # the two grid points around the hint when it is good, at most one
         # more when it is a cell off; the plain bisection takes about 70
@@ -390,11 +425,37 @@ class TestRadiusSandwich:
         assert upper == pytest.approx(2 + 1 / 12 + 1 / 3)
 
     def test_lower_is_the_rounded_exact_bound(self):
-        # the float lower bound is the correctly rounded Fraction the Lemma 4.1
-        # sweep squares, not a float sum (which is 1 ulp off at p = 9, 14, ...)
+        # each float bound is its correctly rounded Fraction, the one that
+        # decides the sandwich, not a float sum (the lower one is 1 ulp off at
+        # p = 9, 14, ..., the upper one at p = 3, 6, 11, ...)
         for p in range(3, 201):
-            exact = p - 1 + Fraction(1, p**2) + Fraction(1, p**3)
-            assert kite_radius_bounds(p)[0] == float(exact), p
+            lower = p - 1 + Fraction(1, p**2) + Fraction(1, p**3)
+            upper = p - 1 + Fraction(1, 4 * p) + Fraction(1, p * p - 2 * p)
+            assert (bounds._radius_lower(p), bounds._radius_upper(p)) == (lower, upper), p
+            assert kite_radius_bounds(p) == (float(lower), float(upper)), p
+        assert kite_radius_bounds(3)[1] == 2.4166666666666665 != 2 + 1 / 12 + 1 / 3
+
+    def test_sandwich_is_exact_on_every_kite(self):
+        # every kite with p >= 3 and q >= 1 on at most 24 vertices: exact root
+        # counts agree with the bracket by the Sturm oracle's grid radius,
+        # which sits less than 2**-GRID_BITS above the radius
+        kites = [(p, q) for p in range(3, 24) for q in range(1, 25 - p)]
+        assert len(kites) == 231
+        for p, q in kites:
+            poly = kite_charpoly(p, q)
+            assert kite_sandwich_holds(p, poly), (p, q)
+            rho = Fraction(largest_root_plain(poly))
+            assert bounds._radius_lower(p) < rho - Fraction(1, 2**GRID_BITS), (p, q)
+            assert rho < bounds._radius_upper(p), (p, q)
+
+    def test_sandwich_fails_outside_the_bounds(self):
+        # the wrong kite's polynomial breaks the sandwich from above and from
+        # below, and p < 3 has no sandwich
+        assert not kite_sandwich_holds(5, kite_charpoly(6, 2))
+        assert not kite_sandwich_holds(5, kite_charpoly(4, 9))
+        assert kite_sandwich_holds(5, kite_charpoly(5, 3))
+        with pytest.raises(ValueError):
+            kite_sandwich_holds(2, kite_charpoly(2, 3))
 
 
 class TestSpectralCliqueBound:

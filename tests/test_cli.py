@@ -20,7 +20,7 @@ from kitespec.cli import (
     main,
 )
 import kitespec
-from kitespec import bounds, das, enumeration
+from kitespec import bounds, cli, das, enumeration
 from kitespec.charpoly import charpoly, kite_charpoly
 from kitespec.enumeration import EnumConstraints, cache_load
 from kitespec.graph import decode_graph6, encode_graph6, make_kite
@@ -330,10 +330,11 @@ class TestBoundsCommand:
         assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
 
     def test_collapsed_float_sandwich_is_usage_error(self, capsys):
-        # from p = 2**26 the float lower and upper bounds are equal
-        code, out, _ = run(capsys, "bounds", "--p", str(2**26))
+        # from p = 2**26 + 1 the correctly rounded float lower and upper
+        # bounds are equal; at 2**26 the upper one is still 1 ulp above
+        code, out, _ = run(capsys, "bounds", "--p", str(2**26 + 1))
         assert code == EXIT_USAGE and out == ""
-        code, out, _ = run(capsys, "bounds", "--p", str(2**26 - 1))
+        code, out, _ = run(capsys, "bounds", "--p", str(2**26))
         assert code == EXIT_OK and out
 
     def test_q_below_one_is_usage_error(self, capsys):
@@ -343,11 +344,27 @@ class TestBoundsCommand:
         assert out == "" and err.startswith("error:")
 
     def test_violated_sandwich_contradicts_theorem(self, capsys, monkeypatch):
-        # the radius is the largest root of the kite polynomial
-        monkeypatch.setattr(bounds, "largest_root", lambda poly: 100.0)
+        # a wrong bound: an upper bound of 4.05 at p = 5 is above the lower
+        # one, 4.048, and below rho(Kite_{5,3}) = 4.0550...
+        real = bounds._radius_upper
+        monkeypatch.setattr(bounds, "_radius_upper", lambda p: Fraction(81, 20) if p == 5 else real(p))
         code, out, _ = run(capsys, "bounds", "--p", "5", "--q", "3")
         assert code == EXIT_THEOREM_CONTRADICTED
-        assert "VIOLATED" in out
+        assert "< 4.050000000" in out and "VIOLATED" in out
+        code, out, _ = run(capsys, "--format", "json", "bounds", "--p", "5", "--q", "3")
+        assert code == EXIT_THEOREM_CONTRADICTED
+        assert json.loads(out)["sandwich_holds"] is False
+
+    def test_wrong_radius_contradicts_theorem(self, capsys, monkeypatch):
+        # a wrong rho: Kite_{6,2}'s polynomial, radius 5.035..., stands in for
+        # Kite_{5,3}'s, whose sandwich ends at 4.1166...
+        monkeypatch.setattr(cli, "kite_charpoly", lambda p, q: kite_charpoly(6, 2))
+        code, out, _ = run(capsys, "bounds", "--p", "5", "--q", "3")
+        assert code == EXIT_THEOREM_CONTRADICTED
+        assert "= 5.035470" in out and "VIOLATED" in out
+        code, out, _ = run(capsys, "--format", "json", "bounds", "--p", "5", "--q", "3")
+        assert code == EXIT_THEOREM_CONTRADICTED
+        assert json.loads(out)["sandwich_holds"] is False
 
 
 def test_kite_radius_is_the_built_graphs(capsys):
@@ -529,7 +546,7 @@ GOLDEN_ARGVS = (
         ["spectrum"],
     ]
 )
-GOLDEN_SHA256 = "8eb8a4d9dfb0cd2ee0471b94c9ee0430c6a0d26ece22b64e3ab97da72db0f594"
+GOLDEN_SHA256 = "f309bad56c8c8ceb3fd72c3404fc7c03b1f43625ca33da203c66e29c6417c715"
 
 
 def test_golden_outputs(capsys, monkeypatch):
