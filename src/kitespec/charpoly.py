@@ -2,8 +2,8 @@
 
 Two algorithmically independent routes are provided:
 
-* :func:`charpoly` -- division-free Berkowitz method (the default), run over
-  neighbour lists instead of the adjacency matrix,
+* :func:`charpoly` -- Newton's identities, every division checked exact, on
+  the closed-walk counts tr(A^k), k <= n, from rows of A^k packed in ints,
 * :func:`charpoly_interpolated` -- fraction-free (Bareiss) determinants of
   lambda*I - A at n+1 integer points, Lagrange-interpolated back.
 
@@ -24,39 +24,39 @@ from math import comb
 from operator import mul
 from typing import Iterator
 
-from .graph import Graph, triangle_count
+from .graph import Graph, _bits, triangle_count
 from .polynomial import IntPolynomial, ONE, lagrange_integer
 
 
 def charpoly(g: Graph) -> IntPolynomial:
-    """det(lambda*I - A(G)) by the Berkowitz division-free algorithm.
+    """det(lambda*I - A(G)) from the closed walks p_k = tr(A^k) by Newton's
+    identities, c_k = -(c_{k-1} p_1 + ... + c_0 p_k) / k for the coefficient of
+    lambda^(n-k); a division that is not exact raises ArithmeticError."""
+    sums = _power_sums(g)
+    c = [1]
+    for k in range(1, g.n + 1):
+        q, r = divmod(-sum(map(mul, reversed(c), sums[1 : k + 1])), k)
+        if r:
+            raise ArithmeticError(f"Newton's identity at k = {k} leaves remainder {r}")
+        c.append(q)
+    return IntPolynomial(tuple(reversed(c)))
 
-    A is 0/1 with a zero diagonal, so every product with a row of A is a sum
-    over that vertex's neighbours among the vertices added so far."""
+
+def _power_sums(g: Graph) -> list[int]:
+    """[tr(A^0), ..., tr(A^n)], the closed-walk counts.  Row i of A^k is one
+    int with one lane per column; an entry of A^k counts walks, at most
+    Delta^k <= Delta^n, so a lane of that many bits never carries into the
+    next, and row i of A^(k+1) is the sum of its neighbours' rows of A^k."""
     n = g.n
-    if n == 0:
-        return ONE
-    # below[r]: neighbours of r among vertices 0..i-1 at step i
-    below: list[list[int]] = [[] for _ in range(n)]
-    # vec holds the coefficients of the leading principal charpoly,
-    # highest power first
-    vec = [1, 0]
-    for i in range(1, n):
-        nbrs = [j for j in range(i) if g.rows[i] >> j & 1]
-        # Toeplitz column: 1, -a_ii, -row.col, -row.A.col, ...
-        t = [1, 0, -len(nbrs)]
-        v = [0] * i
-        for j in nbrs:
-            v[j] = 1
-        active = below[:i]
-        for _ in range(i - 1):
-            v = [sum(map(v.__getitem__, nb)) for nb in active]
-            t.append(-sum(map(v.__getitem__, nbrs)))
-        vec = [sum(map(mul, vec[: r + 1], t[r::-1])) for r in range(i + 2)]
-        for j in nbrs:
-            below[j].append(i)
-        below[i] = nbrs
-    return IntPolynomial(tuple(reversed(vec)))
+    width = (max(map(int.bit_count, g.rows), default=0) ** n).bit_length() or 1
+    lane = (1 << width) - 1
+    nbrs = [_bits(row) for row in g.rows]
+    power = [1 << i * width for i in range(n)]
+    sums = [n]
+    for _ in range(n):
+        power = [sum(map(power.__getitem__, nb)) for nb in nbrs]
+        sums.append(sum(row >> i * width & lane for i, row in enumerate(power)))
+    return sums
 
 
 def bareiss_det(matrix: list[list[int]]) -> int:
@@ -146,8 +146,8 @@ def are_cospectral(g: Graph, h: Graph) -> bool:
 
 
 def walk_count(g: Graph, i: int) -> int:
-    """tr(A**i), the number of closed walks of length i, by exact integer
-    matrix powering."""
+    """tr(A**i), the number of closed walks of length i, by dense integer
+    matrix powering, which shares no code with :func:`charpoly`'s power sums."""
     if i < 1:
         raise ValueError("walk length must be >= 1")
     a = g.adjacency_matrix()

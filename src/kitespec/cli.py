@@ -11,7 +11,6 @@ gate.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
@@ -43,6 +42,7 @@ EXIT_THEOREM_CONTRADICTED = 2
 
 
 def _emit_csv(rows) -> str:
+    import csv  # only --format csv loads it
     rows = list(rows)
     if not rows:
         return ""
@@ -118,7 +118,7 @@ def cmd_invariants(args) -> int:
     if not g.n:
         rho = None
     elif kp is not None:
-        # the pendant recurrence owns a kite's polynomial: no Berkowitz
+        # the pendant recurrence owns a kite's polynomial: no power sums
         rho = round(bounds_mod.largest_root(kite_charpoly(kp.p, kp.q)), 10)
     else:
         rho = round(bounds_mod.spectral_radius(g), 10)

@@ -22,7 +22,6 @@ exhaustive.
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
 from dataclasses import asdict, dataclass, replace
 from itertools import chain, islice
@@ -115,6 +114,7 @@ def find_cospectral_mates(target: Graph, workers: int = 1) -> SearchReport:
     if total == 1:
         results = [_scan_partition(jobs[0])]
     else:
+        import concurrent.futures  # only a pool loads it: ~10 ms and ~0.5 MB at import
         with concurrent.futures.ProcessPoolExecutor(max_workers=total) as pool:
             results = list(pool.map(_scan_partition, jobs))
     scanned, survivors, part_mates = zip(*results)

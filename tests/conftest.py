@@ -364,7 +364,7 @@ def subgraph_without(g: Graph, removed: set[int]) -> Graph:
 def charpoly_pendant_recursive(g: Graph) -> IntPolynomial:
     """Oracle: strip pendant vertices (highest index first) with the deletion
     rule P(G) = lambda*P(G - x1) - P(G - x1 - x2), where x2 is the neighbour
-    of the pendant x1; Berkowitz once no pendant remains."""
+    of the pendant x1; ``charpoly`` once no pendant remains."""
     x1 = next((v for v in range(g.n - 1, -1, -1) if g.rows[v].bit_count() == 1), None)
     if x1 is None:
         return charpoly(g)

@@ -1,4 +1,7 @@
 import itertools
+import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -7,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from kitespec import charpoly as charpoly_mod
 from kitespec.charpoly import (
+    _power_sums,
     are_cospectral,
     bareiss_det,
     charpoly,
@@ -21,6 +25,7 @@ from kitespec.graph import (
     make_gc,
     make_kite,
     make_path,
+    parse_graph_spec,
     triangle_count,
 )
 from kitespec.polynomial import IntPolynomial, lagrange_integer
@@ -31,6 +36,7 @@ from conftest import (
     closed_form_gc,
     coefficient_edge_count,
     coefficient_triangle_count,
+    extended,
     kite_charpoly_product,
     kite_u_closed_form,
     kite_u_identity_check,
@@ -181,6 +187,77 @@ class TestBerkowitzVsSympy:
     def test_families(self, n):
         for g in (make_complete(n), from_edges(n, []), make_star(n - 1)):
             assert charpoly(g) == self.sympy_charpoly(g)
+
+
+class TestPowerSums:
+    """The kernel under ``charpoly``: tr(A^k) from packed rows, then
+    Newton's identities."""
+
+    def test_match_the_dense_walk_counts(self, rng):
+        for _ in range(120):
+            g = random_graph(rng, rng.randint(1, 12), rng.choice([0.2, 0.5, 0.9]))
+            sums = _power_sums(g)
+            assert sums[0] == g.n
+            assert sums[1:] == [walk_count(g, k) for k in range(1, g.n + 1)]
+
+    @pytest.mark.parametrize("spec", ["kite:4,2", "complete:24", "path:2"])
+    def test_wrong_power_sum_raises(self, monkeypatch, spec):
+        # p_2 = 2m + 1 is odd, so c_2 = -p_2 / 2 is no integer
+        g, _ = parse_graph_spec(spec)
+        sums = _power_sums(g)
+        sums[2] = 2 * g.edge_count() + 1
+        monkeypatch.setattr(charpoly_mod, "_power_sums", lambda _: sums)
+        with pytest.raises(ArithmeticError):
+            charpoly(g)
+
+    def test_wrong_power_sum_raises_under_O(self):
+        script = (
+            "from kitespec import charpoly as c\n"
+            "from kitespec.graph import make_kite\n"
+            "g = make_kite(4, 2)\n"
+            "sums = c._power_sums(g)\n"
+            "sums[2] = 2 * g.edge_count() + 1\n"
+            "c._power_sums = lambda _: sums\n"
+            "try:\n"
+            "    c.charpoly(g)\n"
+            "except ArithmeticError:\n"
+            "    print('raised')\n"
+        )
+        out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "raised\n"
+
+
+def _cap_graphs():
+    rng = random.Random(24)
+    return {
+        "K24": make_complete(24),
+        "K1,23": make_star(23),
+        "empty24": from_edges(24, []),
+        "kite22,2": make_kite(22, 2),
+        "kite3,21": make_kite(3, 21),
+        **{f"gnp24-half-{k}": random_graph(rng, 24) for k in range(3)},
+        "gnp24-0.9": random_graph(rng, 24, 0.9),
+    }
+
+
+CAP_GRAPHS = _cap_graphs()
+
+
+class TestAtTheCap:
+    """n = 24: the widest lanes (109 bits for K24) and the most repeated roots."""
+
+    @pytest.mark.parametrize("g", CAP_GRAPHS.values(), ids=CAP_GRAPHS.keys())
+    def test_matches_bareiss(self, g):
+        assert charpoly(g) == charpoly_interpolated(g)
+
+    @extended
+    @pytest.mark.parametrize("p", [0.2, 0.5, 0.9])
+    def test_gnp_vs_sympy(self, p):
+        rng = random.Random(round(10 * p))
+        for n in range(15, 25):
+            g = random_graph(rng, n, p)
+            assert charpoly(g) == TestBerkowitzVsSympy.sympy_charpoly(g), n
 
 
 class TestClosedForms:

@@ -369,7 +369,7 @@ class TestBoundsCommand:
 
 def test_kite_radius_is_the_built_graphs(capsys):
     # the CLI takes a kite's polynomial from the pendant recurrence; its radius
-    # is the float that Berkowitz on the built kite gives, bit for bit
+    # is the float that the power sums of the built kite give, bit for bit
     for n in range(1, 25):
         for p in range(1, n + 1):
             q = n - p

@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import re
 from collections import defaultdict
@@ -65,7 +66,7 @@ def serial_pool(monkeypatch):
             seen.append(len(jobs))
             return map(fn, jobs)
 
-    monkeypatch.setattr(das.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     return seen
 
 

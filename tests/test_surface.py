@@ -7,6 +7,7 @@ The scripts are run as the user runs them, in a fresh interpreter.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -80,8 +81,15 @@ class TestScripts:
         proc = run_script("bounds_table.py", "--max-p", "23", "--max-q", "1")
         assert proc.returncode == 0, proc.stderr
         tail = proc.stdout.split("p = 23:")[1]
-        # the pendant-recurrence radius agrees with Berkowitz on the built kite
+        # the pendant-recurrence radius agrees with the power sums of the built kite
         assert f"q =  1: rho = {spectral_radius(make_kite(23, 1)):.10f} " in tail
+
+    def test_charpoly_timing_prints_one_line_per_cell(self):
+        proc = run_script("charpoly_timing.py", "--min-n", "3", "--max-n", "4", "--p", "0.5,1", "--graphs", "2")
+        assert proc.returncode == 0, proc.stderr
+        rows = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert [(r["n"], r["p"]) for r in rows] == [(3, 0.5), (3, 1.0), (4, 0.5), (4, 1.0)]
+        assert all(r["q1"] <= r["us_per_call"] <= r["q3"] for r in rows)
 
     def test_das_sweep_rejects_an_order_past_the_desk_range(self):
         proc = run_script("das_sweep.py", "--max-order", "10", "--workers", "1")
