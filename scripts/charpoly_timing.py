@@ -2,14 +2,14 @@
 """Time charpoly per call on seeded G(n, p), one JSON object per line.
 
 For each order n and edge probability p it builds --graphs seeded G(n, p),
-times --calls calls of charpoly on each, and prints the median per-call time
+times CALLS calls of charpoly on each, and prints the median per-call time
 over the graphs with its quartiles, in microseconds.  The graphs depend only
-on --seed, n and p, so another checkout is timed on the same inputs by
+on SEED, n and p, so another checkout is timed on the same inputs by
 pointing PYTHONPATH at its src/.
 
 Usage:
     PYTHONPATH=src python3 scripts/charpoly_timing.py [--min-n 6] [--max-n 24]
-        [--p 0.2,0.5,0.9] [--graphs 30] [--calls 5] [--seed 1]
+        [--p 0.2,0.5,0.9] [--graphs 30]
 """
 
 import argparse
@@ -21,6 +21,9 @@ import time
 from kitespec.charpoly import charpoly
 from kitespec.graph import HARD_CAP, from_edges
 
+CALLS = 5
+SEED = 1
+
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -28,20 +31,18 @@ def main() -> None:
     ap.add_argument("--max-n", type=int, default=HARD_CAP)
     ap.add_argument("--p", default="0.2,0.5,0.9", help="comma-separated edge probabilities")
     ap.add_argument("--graphs", type=int, default=30)
-    ap.add_argument("--calls", type=int, default=5)
-    ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args()
 
     for n in range(args.min_n, args.max_n + 1):
         for p in map(float, args.p.split(",")):
-            rng = random.Random(f"{args.seed}:{n}:{p}")
+            rng = random.Random(f"{SEED}:{n}:{p}")
             per_call = []
             for _ in range(args.graphs):
                 g = from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
                 start = time.perf_counter()
-                for _ in range(args.calls):
+                for _ in range(CALLS):
                     charpoly(g)
-                per_call.append((time.perf_counter() - start) / args.calls * 1e6)
+                per_call.append((time.perf_counter() - start) / CALLS * 1e6)
             q1, median, q3 = statistics.quantiles(per_call, n=4) if len(per_call) > 1 else per_call * 3
             print(json.dumps({"n": n, "p": p, "us_per_call": round(median, 1),
                               "q1": round(q1, 1), "q3": round(q3, 1)}), flush=True)
