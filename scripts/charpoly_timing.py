@@ -32,6 +32,8 @@ def main() -> None:
     ap.add_argument("--p", default="0.2,0.5,0.9", help="comma-separated edge probabilities")
     ap.add_argument("--graphs", type=int, default=30)
     args = ap.parse_args()
+    if args.graphs < 1:
+        ap.error(f"--graphs must be at least 1, got {args.graphs}")
 
     for n in range(args.min_n, args.max_n + 1):
         for p in map(float, args.p.split(",")):

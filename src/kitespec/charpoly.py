@@ -7,12 +7,12 @@ Two algorithmically independent routes are provided:
 * :func:`charpoly_interpolated` -- fraction-free (Bareiss) determinants of
   lambda*I - A at n+1 integer points, Lagrange-interpolated back.
 
-Kites need no graph at all: :func:`kite_charpoly_series` applies the pendant
-rule P(G) = lambda*P(G - x1) - P(G - x1 - x2), for a pendant x1 with neighbour
-x2, along the path from the binomial closed form of P(K_p), one term per tail
-length.  It is the one owner of that recurrence: :func:`kite_charpoly` is its
-last term, and the path polynomial P(P_n) is Kite_{1,n-1}.  The paper's
-lambda = u + 1/u closed form is a test oracle in ``tests/conftest.py``.
+Kites need no graph at all: the pendant rule P(G) = lambda*P(G - x1) -
+P(G - x1 - x2), for a pendant x1 with neighbour x2, runs from P(K_p) along the
+path on Kronecker-packed ints, polynomials evaluated at X = 2^w, one shift and
+one subtraction a step.  That walk owns the recurrence: :func:`kite_charpoly`
+unpacks its last term, :func:`kite_charpoly_series` each, and P(P_n) is
+Kite_{1,n-1}.  The u + 1/u and expanded K_p closed forms are test oracles.
 
 All results are monic integer polynomials; cospectrality is decided only on
 these exact coefficient vectors, never on floating-point spectra.
@@ -20,7 +20,6 @@ these exact coefficient vectors, never on floating-point spectra.
 
 from __future__ import annotations
 
-from math import comb
 from operator import mul
 from typing import Iterator
 
@@ -98,39 +97,52 @@ def charpoly_interpolated(g: Graph) -> IntPolynomial:
     return lagrange_integer(points)
 
 
-# -- closed forms ----------------------------------------------------------
+# -- kites by the pendant rule ------------------------------------------------
 
 
-def closed_form_complete(p: int) -> IntPolynomial:
-    """(lambda - p + 1) * (lambda + 1)**(p-1), the K_p polynomial."""
-    if p < 1:
-        raise ValueError("p >= 1 required")
-    # b[k] = C(p-1, k-1): (lambda + 1)**(p-1) shifted by one power
-    b = [0] + [comb(p - 1, k) for k in range(p)] + [0]
-    return IntPolynomial(tuple(b[k] + (1 - p) * b[k + 1] for k in range(p + 1)))
+def _kite_width(n: int) -> int:
+    """A packing width w for every kite of order <= n.  Kite_{p,q}'s absolute
+    coefficients sum to at most B(q) = p*2^(p+q-1): K_p's and K_{p-1}'s to at
+    most B(0), and a pendant step adds two earlier sums, at most 2*B(q-1).  So
+    |c| <= p*2^(n-1) < 2^(w-1), and each c is one balanced base-2^w digit."""
+    return n + n.bit_length()
 
 
-def kite_charpoly_series(p: int, q_max: int) -> Iterator[tuple[int, ...]]:
-    """Coefficients of P(Kite_{p,q}) for q = 0, ..., q_max by pendant deletion:
-    P(Kite_{p,k}) = lambda*P(Kite_{p,k-1}) - P(Kite_{p,k-2}), starting from
-    Kite_{p,0} = K_p and Kite_{p,-1} = K_{p-1}."""
+def _kite_packed(p: int, q_max: int, w: int) -> Iterator[int]:
+    """P(Kite_{p,q}) at X = 2^w for q = 0, ..., q_max: P_q = X*P_{q-1} - P_{q-2}
+    from P_0 = (X - p + 1)(X + 1)^(p-1), K_p, and P_{-1}, K_{p-1} (1 for p = 1)."""
     if p < 1 or q_max < 0:
         raise ValueError("p >= 1 and q >= 0 required")
-    prev = closed_form_complete(p - 1).coeffs if p > 1 else (1,)
-    cur = closed_form_complete(p).coeffs
+    x = 1 << w
+    prev = (x - p + 2) * (x + 1) ** (p - 2) if p > 1 else 1
+    cur = (x - p + 1) * (x + 1) ** (p - 1)
     yield cur
     for _ in range(q_max):
-        nxt = [0, *cur]
-        for k, c in enumerate(prev):
-            nxt[k] -= c
-        prev, cur = cur, tuple(nxt)
+        prev, cur = cur, (cur << w) - prev
         yield cur
 
 
+def _unpack(v: int, w: int) -> tuple[int, ...]:
+    """The balanced base-2^w digits of v, lowest first: the packed coefficients."""
+    half, mask, coeffs = 1 << w - 1, (1 << w) - 1, []
+    while v:
+        v += half
+        coeffs.append((v & mask) - half)
+        v >>= w
+    return tuple(coeffs)
+
+
+def kite_charpoly_series(p: int, q_max: int) -> Iterator[tuple[int, ...]]:
+    """Coefficients of P(Kite_{p,q}) for q = 0, ..., q_max: the packed walk, unpacked."""
+    w = _kite_width(p + q_max)
+    return (_unpack(v, w) for v in _kite_packed(p, q_max, w))
+
+
 def kite_charpoly(p: int, q: int) -> IntPolynomial:
-    """The kite polynomial, the last term of :func:`kite_charpoly_series`."""
-    *_, coeffs = kite_charpoly_series(p, q)
-    return IntPolynomial(coeffs)
+    """The kite polynomial: the last term of the packed walk, unpacked."""
+    w = _kite_width(p + q)
+    *_, v = _kite_packed(p, q, w)
+    return IntPolynomial(_unpack(v, w))
 
 
 # -- cospectrality and walks -------------------------------------------------

@@ -28,7 +28,7 @@ from itertools import chain, islice
 from math import comb
 
 # kite_charpoly is unused here, but the benchmark's tracer wraps ``das.kite_charpoly``
-from .charpoly import charpoly, kite_charpoly, kite_charpoly_series, walk_count  # noqa: F401
+from .charpoly import _kite_packed, _kite_width, charpoly, kite_charpoly, walk_count  # noqa: F401
 from .graph import (
     Graph, KiteParams, _trusted_graph, decode_graph6, encode_graph6, make_kite, triangle_count,
 )
@@ -199,18 +199,16 @@ def verify_theorem31(n_max: int) -> list[CensusRow]:
     Theorem 3.1 holds exactly at every order: cospectral graphs share n and
     m (minus the lambda^{n-2} coefficient), and at a fixed order m - n =
     p(p-3)/2 is strictly increasing in p >= 3.  The census cross-checks the
-    whole polynomials, one pendant walk per clique size p."""
+    whole polynomials, one packed pendant walk per clique size p, every kite
+    packed at the one width of order n_max, so two agree iff their ints do."""
     if n_max > 30:
         raise ValueError("census capped at n_max <= 30")
-    rows = [CensusRow(n, 0, True) for n in range(4, n_max + 1)]
-    seen: list[set] = [set() for _ in rows]  # per order: the coefficients met so far
+    w, by_order = _kite_width(n_max), [[] for _ in range(n_max + 1)]
     for p in range(3, n_max):
-        for q, coeffs in enumerate(islice(kite_charpoly_series(p, n_max - p), 1, None), 1):
-            row, met = rows[p + q - 4], seen[p + q - 4]
-            row.kite_count += 1
-            row.all_distinct &= coeffs not in met
-            met.add(coeffs)
-    return rows
+        for q, packed in enumerate(islice(_kite_packed(p, n_max - p, w), 1, None), 1):
+            by_order[p + q].append(packed)
+    return [CensusRow(n, len(kites), len(set(kites)) == len(kites))
+            for n, kites in enumerate(by_order[4:], 4)]
 
 
 def verify_kite(p: int, q: int, workers: int = 1) -> SearchReport:

@@ -125,12 +125,23 @@ def closed_form_gc(p: int) -> IntPolynomial:
     return IntPolynomial((1, 1)).pow(p - 3) * quintic
 
 
+def closed_form_complete(p: int) -> IntPolynomial:
+    """Oracle: (lambda - p + 1) * (lambda + 1)**(p-1), the K_p polynomial, with
+    the binomial coefficients written out."""
+    if p < 1:
+        raise ValueError("p >= 1 required")
+    # b[k] = C(p-1, k-1): (lambda + 1)**(p-1) shifted by one power
+    b = [0] + [math.comb(p - 1, k) for k in range(p)] + [0]
+    return IntPolynomial(tuple(b[k] + (1 - p) * b[k + 1] for k in range(p + 1)))
+
+
 def census_oracle(n_max: int) -> list[CensusRow]:
-    """Oracle for ``verify_theorem31``: one ``kite_charpoly(p, q)`` per kite,
-    order by order; an order is distinct when no two of its polynomials agree."""
+    """Oracle for ``verify_theorem31``: one ``kite_charpoly_product(p, q)`` per
+    kite, order by order, sharing no code with the packed pendant walk; an
+    order is distinct when no two of its polynomials agree."""
     rows = []
     for n in range(4, n_max + 1):
-        polys = [kite_charpoly(p, n - p).coeffs for p in range(3, n)]
+        polys = [kite_charpoly_product(p, n - p) for p in range(3, n)]
         rows.append(CensusRow(n, len(polys), len(set(polys)) == len(polys)))
     return rows
 
@@ -252,8 +263,8 @@ X = IntPolynomial((0, 1))
 
 def path_poly(n: int) -> IntPolynomial:
     """a_n = lambda*a_{n-1} - a_{n-2} with a_0 = 1, a_1 = lambda, which is
-    P(P_n) for n >= 1; its own loop, so it shares no code with
-    ``kite_charpoly_series``."""
+    P(P_n) for n >= 1; its own loop on coefficient tuples, so it shares no
+    code with the package's packed pendant walk."""
     prev, cur = IntPolynomial((1,)), X
     for _ in range(n):
         prev, cur = cur, cur.shift(1) - prev

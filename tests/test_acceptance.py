@@ -28,7 +28,6 @@ from kitespec.charpoly import (
     are_cospectral,
     charpoly,
     charpoly_interpolated,
-    closed_form_complete,
     kite_charpoly,
     walk_count,
 )
@@ -58,6 +57,7 @@ from kitespec.graph import (
 from conftest import (
     brute_force_classes,
     charpoly_pendant_recursive,
+    closed_form_complete,
     closed_form_gc,
     kite_u_identity_check,
     make_star,

@@ -8,13 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from kitespec import charpoly as charpoly_mod
 from kitespec.charpoly import (
+    _kite_width,
     _power_sums,
     are_cospectral,
     bareiss_det,
     charpoly,
     charpoly_interpolated,
-    closed_form_complete,
     kite_charpoly,
+    kite_charpoly_series,
     walk_count,
 )
 from kitespec.graph import (
@@ -31,6 +32,7 @@ from kitespec.polynomial import IntPolynomial, lagrange_integer
 from conftest import (
     X,
     charpoly_pendant_recursive,
+    closed_form_complete,
     closed_form_gc,
     coefficient_edge_count,
     coefficient_triangle_count,
@@ -167,6 +169,18 @@ class TestKiteRecurrence:
         for p in range(1, 31):
             for q in range(0, 31 - p):
                 assert kite_charpoly(p, q) == kite_charpoly_product(p, q), (p, q)
+
+    def test_every_term_of_the_series_at_the_census_cap(self):
+        for p in range(1, 30):
+            series = list(kite_charpoly_series(p, 30 - p))
+            assert series == [kite_charpoly_product(p, q).coeffs for q in range(31 - p)], p
+
+    def test_coefficient_sums_fit_the_packing_width(self):
+        # the bound the width proof of ``_kite_width`` rests on, and what it gives
+        for p in range(1, 31):
+            for q in range(0, 31 - p):
+                total = sum(map(abs, kite_charpoly_product(p, q).coeffs))
+                assert total <= p * 2 ** (p + q - 1) < 1 << _kite_width(p + q) - 1, (p, q)
 
 
 class TestBerkowitzVsSympy:

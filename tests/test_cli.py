@@ -212,15 +212,22 @@ class TestCensusAndVerify:
         assert code == EXIT_THEOREM_CONTRADICTED
         assert out.endswith(f"verdict {das.VERDICT_MATES}, mates: {', '.join(mates)}\n")
 
+    @staticmethod
+    def plant_collision(monkeypatch, kite, twin):
+        """The census's packed walk gives ``kite`` the packed value of ``twin``,
+        another kite of the same order, at the width the census asks for."""
+        real = das._kite_packed
+
+        def planted(p, q_max, w):
+            *_, twin_value = real(*twin, w)
+            for q, packed in enumerate(real(p, q_max, w)):
+                yield twin_value if (p, q) == kite else packed
+
+        monkeypatch.setattr(das, "_kite_packed", planted)
+
     def test_planted_collision_exits_2(self, capsys, monkeypatch):
         # Kite_{4,2} given the polynomial of Kite_{3,3}, the other kite of order 6
-        real, twin = das.kite_charpoly_series, kite_charpoly(3, 3).coeffs
-
-        def planted(p, q_max):
-            for q, coeffs in enumerate(real(p, q_max)):
-                yield twin if (p, q) == (4, 2) else coeffs
-
-        monkeypatch.setattr(das, "kite_charpoly_series", planted)
+        self.plant_collision(monkeypatch, (4, 2), (3, 3))
         code, out, _ = run(capsys, "kite-census", "--max-n", "7")
         assert code == EXIT_THEOREM_CONTRADICTED
         assert out.splitlines() == [
@@ -234,6 +241,16 @@ class TestCensusAndVerify:
         assert code == EXIT_THEOREM_CONTRADICTED
         assert payload["all_distinct"] is False
         assert [row["all_distinct"] for row in payload["rows"]] == [True, True, False, True]
+
+    def test_planted_collision_at_the_cap_exits_2(self, capsys, monkeypatch):
+        # Kite_{29,1} given the polynomial of Kite_{28,2}: both of order 30
+        self.plant_collision(monkeypatch, (29, 1), (28, 2))
+        code, out, _ = run(capsys, "kite-census", "--max-n", "30")
+        assert code == EXIT_THEOREM_CONTRADICTED
+        assert out.splitlines() == [
+            f"n={n}: {n - 3} kites, {'COLLISION' if n == 30 else 'all distinct'}"
+            for n in range(4, 31)
+        ]
 
     def test_das_verify_evidence_claim(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "das-verify", "--p", "3", "--q", "3")

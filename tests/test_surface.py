@@ -91,6 +91,13 @@ class TestScripts:
         assert [(r["n"], r["p"]) for r in rows] == [(3, 0.5), (3, 1.0), (4, 0.5), (4, 1.0)]
         assert all(r["q1"] <= r["us_per_call"] <= r["q3"] for r in rows)
 
+    def test_charpoly_timing_rejects_no_graphs(self):
+        proc = run_script("charpoly_timing.py", "--min-n", "3", "--max-n", "3", "--graphs", "0")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines()[-1].endswith("error: --graphs must be at least 1, got 0")
+
     def test_das_sweep_rejects_an_order_past_the_desk_range(self):
         proc = run_script("das_sweep.py", "--max-order", "10", "--workers", "1")
         assert proc.returncode == 1
