@@ -10,7 +10,8 @@ of signs, applied to an integer Taylor shift, counts its roots above a
 rational point exactly.  One counter serves the radius, the least multiple
 of 2**-GRID_BITS with no root above it, placed by counts at grid points a
 float hint chooses (``largest_root``), and the paper's radius sandwich,
-decided by counts at its exact bounds (``kite_sandwich_holds``).
+decided by counts at its exact bounds (``kite_sandwich_holds``), both also on
+a kite's radius factor, which has its polynomial's roots above -1.
 """
 
 from __future__ import annotations
@@ -211,8 +212,8 @@ def spectral_radius(g: Graph) -> float:
 
 
 def _radius_lower(p: int) -> Fraction:
-    """p-1 + 1/p^2 + 1/p^3, the kite radius lower bound, exactly."""
-    return p - 1 + Fraction(p + 1, p**3)
+    """The kite radius lower bound p-1 + 1/p^2 + 1/p^3, in lowest terms: gcd(p + 1, p) = 1."""
+    return Fraction((p - 1) * p**3 + p + 1, p**3)
 
 
 def _radius_upper(p: int) -> Fraction:
@@ -277,29 +278,33 @@ def verify_lemma41_inequality(
     m = (p^2 - p + 2q)/2. Squares are compared, so no radicals appear.
     The number of checks grows as p_max**3, so p_max is capped at
     LEMMA41_P_MAX.  Returns the number of cases and the records of the
-    violations, or of every case with ``every_case``.  The left side grows
-    with r, so the largest r of each (p, q) is decided first and the others
-    only when it fails; each decision is made on integers, and only a
-    returned record builds its Fractions."""
+    violations, or of every case with ``every_case``.  Each p has Q(p-2) -
+    Q(Q+1) cases, Q = floor((p-3)/2), and is decided on integers at its
+    largest left side, q = 1 and r = p - 3: 2m(r-1)/r grows with r, and at
+    the top r, t = p - 2q - 1, it is f(q) = M(t-1)/t, M = 2m, where f(q) -
+    f(q+1) = 2(M - t(t-3)) / (t(t-2)) > 0, as t - 2 >= 2 and t(t-3) <
+    (p-3)^2 < M.  Only if that fails, or for ``every_case``, are its (q, r)
+    walked, each q's top r first; only a returned record builds Fractions."""
     if p_max < 3:
         raise ValueError("p_max >= 3 required")
     if p_max > LEMMA41_P_MAX:
         raise ValueError(f"sweep capped at p_max <= {LEMMA41_P_MAX}")
     cases, records = 0, []
     for p in range(3, p_max + 1):
-        rhs = _radius_lower(p) ** 2
-        num, den = rhs.numerator, rhs.denominator
-        q = 1
-        while p - 2 * q >= 3:
+        lower = _radius_lower(p)  # in lowest terms, so its square is too
+        num, den = lower.numerator ** 2, lower.denominator ** 2
+        big_q = (p - 3) // 2
+        cases += big_q * (p - 2) - big_q * (big_q + 1)
+        if not every_case and (p * p - p + 2) * (p - 4) * den < num * (p - 3):
+            continue
+        rhs = Fraction(num, den)
+        for q in range(1, big_q + 1):
             two_m = p * p - p + 2 * q
             top = p - 2 * q - 1
-            # lhs < rhs, cross-multiplied; when it holds at the top r, it holds for every r
             if every_case or two_m * (top - 1) * den >= num * top:
                 for r in range(2, top + 1):
                     holds = two_m * (r - 1) * den < num * r
                     if every_case or not holds:
                         lhs = Fraction(two_m * (r - 1), r)
                         records.append(InequalityCheck(p, q, r, lhs, rhs, holds))
-            cases += top - 1
-            q += 1
     return cases, records

@@ -12,7 +12,10 @@ P(G - x1 - x2), for a pendant x1 with neighbour x2, runs from P(K_p) along the
 path on Kronecker-packed ints, polynomials evaluated at X = 2^w, one shift and
 one subtraction a step.  That walk owns the recurrence: :func:`kite_charpoly`
 unpacks its last term, :func:`kite_charpoly_series` each, and P(P_n) is
-Kite_{1,n-1}.  The u + 1/u and expanded K_p closed forms are test oracles.
+Kite_{1,n-1}.  The rule is linear and P(K_p), P(K_{p-1}) share the factor
+(lambda + 1)^(p-2), so the walk from both divided by it gives the radius
+factor :func:`kite_radius_factor`, of degree q + 2.  The u + 1/u and expanded
+K_p closed forms are test oracles.
 
 All results are monic integer polynomials; cospectrality is decided only on
 these exact coefficient vectors, never on floating-point spectra.
@@ -104,18 +107,21 @@ def _kite_width(n: int) -> int:
     """A packing width w for every kite of order <= n.  Kite_{p,q}'s absolute
     coefficients sum to at most B(q) = p*2^(p+q-1): K_p's and K_{p-1}'s to at
     most B(0), and a pendant step adds two earlier sums, at most 2*B(q-1).  So
-    |c| <= p*2^(n-1) < 2^(w-1), and each c is one balanced base-2^w digit."""
+    |c| <= p*2^(n-1) < 2^(w-1), and each c is one balanced base-2^w digit.
+    R_{p,q}'s sums, from p - 1 and 2p - 2 at q = -1 and 0, are at most
+    p*2^(q+1) <= B(q) for p >= 2 by the same step, so R fits w too."""
     return n + n.bit_length()
 
 
-def _kite_packed(p: int, q_max: int, w: int) -> Iterator[int]:
-    """P(Kite_{p,q}) at X = 2^w for q = 0, ..., q_max: P_q = X*P_{q-1} - P_{q-2}
-    from P_0 = (X - p + 1)(X + 1)^(p-1), K_p, and P_{-1}, K_{p-1} (1 for p = 1)."""
+def _kite_packed(p: int, q_max: int, w: int, drop: int = 0) -> Iterator[int]:
+    """P(Kite_{p,q}) / (X + 1)^drop at X = 2^w for q = 0, ..., q_max, where
+    drop <= max(p - 2, 0): P_q = X*P_{q-1} - P_{q-2} from P_0, K_p =
+    (X - p + 1)(X + 1)^(p-1), and P_{-1}, K_{p-1} (1 for p = 1), each divided."""
     if p < 1 or q_max < 0:
         raise ValueError("p >= 1 and q >= 0 required")
     x = 1 << w
-    prev = (x - p + 2) * (x + 1) ** (p - 2) if p > 1 else 1
-    cur = (x - p + 1) * (x + 1) ** (p - 1)
+    prev = (x - p + 2) * (x + 1) ** (p - 2 - drop) if p > 1 else 1
+    cur = (x - p + 1) * (x + 1) ** (p - 1 - drop)
     yield cur
     for _ in range(q_max):
         prev, cur = cur, (cur << w) - prev
@@ -138,11 +144,22 @@ def kite_charpoly_series(p: int, q_max: int) -> Iterator[tuple[int, ...]]:
     return (_unpack(v, w) for v in _kite_packed(p, q_max, w))
 
 
-def kite_charpoly(p: int, q: int) -> IntPolynomial:
-    """The kite polynomial: the last term of the packed walk, unpacked."""
+def _kite_last(p: int, q: int, drop: int) -> IntPolynomial:
+    """The last term of the packed walk, unpacked."""
     w = _kite_width(p + q)
-    *_, v = _kite_packed(p, q, w)
+    *_, v = _kite_packed(p, q, w, drop)
     return IntPolynomial(_unpack(v, w))
+
+
+def kite_charpoly(p: int, q: int) -> IntPolynomial:
+    """The kite polynomial P(Kite_{p,q})."""
+    return _kite_last(p, q, 0)
+
+
+def kite_radius_factor(p: int, q: int) -> IntPolynomial:
+    """R_{p,q} = P(Kite_{p,q}) / (lambda + 1)^max(p-2, 0), with P's roots above
+    -1: the others are all -1, and the radius is at least 1 for p >= 2."""
+    return _kite_last(p, q, max(p - 2, 0))
 
 
 # -- cospectrality and walks -------------------------------------------------

@@ -19,7 +19,7 @@ import sys
 
 from . import bounds as bounds_mod
 from . import das
-from .charpoly import are_cospectral, charpoly, kite_charpoly
+from .charpoly import are_cospectral, charpoly, kite_charpoly, kite_radius_factor
 from .enumeration import EnumConstraints, enumerate_cached
 # cache_store, enumerate_graphs and make_kite are unused here, but the
 # benchmark's tracer wraps them in ``cli``
@@ -75,8 +75,9 @@ def _print(args, *, json_payload, csv_rows, text: str):
 
 
 def cmd_charpoly(args) -> int:
-    g, _ = parse_graph_spec(args.spec)
-    poly = charpoly(g)
+    g, kp = parse_graph_spec(args.spec)
+    # a kite-shaped spec's polynomial comes from the pendant recurrence
+    poly = charpoly(g) if kp is None else kite_charpoly(kp.p, kp.q)
     _print(
         args,
         json_payload={"spec": args.spec, "coefficients": poly.to_json()},
@@ -118,8 +119,8 @@ def cmd_invariants(args) -> int:
     if not g.n:
         rho = None
     elif kp is not None:
-        # the pendant recurrence owns a kite's polynomial: no power sums
-        rho = round(bounds_mod.largest_root(kite_charpoly(kp.p, kp.q)), 10)
+        # the pendant recurrence owns a kite's radius factor: no power sums
+        rho = round(bounds_mod.largest_root(kite_radius_factor(kp.p, kp.q)), 10)
     else:
         rho = round(bounds_mod.spectral_radius(g), 10)
     info = {
@@ -194,7 +195,7 @@ def cmd_bounds(args) -> int:
         if args.q < 1:
             raise ValueError("the radius sandwich needs q >= 1")
         _check_order(args.p + args.q)  # the kite must fit the graph cap
-        poly = kite_charpoly(args.p, args.q)
+        poly = kite_radius_factor(args.p, args.q)
         rho, holds = bounds_mod.largest_root(poly), bounds_mod.kite_sandwich_holds(args.p, poly)
         payload.update(q=args.q, spectral_radius=rho, sandwich_holds=holds)
         text += f"; rho(Kite_{{{args.p},{args.q}}}) = {rho:.10f} ({'ok' if holds else 'VIOLATED'})"

@@ -1,8 +1,9 @@
 """Immutable simple-graph type, named-family constructors, structural
-invariants, and the graph6 codec.
+invariants, the graph6 codec and the spec grammar.
 
 Graphs live on at most HARD_CAP vertices so every kernel can work on plain
-integer bitsets (one bitmask per vertex row).
+integer bitsets (one bitmask per vertex row).  The spec grammar is one
+table, ``_FAMILIES``, which also names the kite of each kite-shaped family.
 """
 
 from __future__ import annotations
@@ -304,10 +305,11 @@ class SpecParseError(GraphError):
         super().__init__(f"{message} (at position {pos} in {raw!r})")
 
 
-# family name -> (constructor, number of integer arguments)
+# family name -> (constructor, number of integer arguments, kite parameters or None)
 _FAMILIES = {
-    "kite": (make_kite, 2), "path": (make_path, 1), "complete": (make_complete, 1),
-    "knm": (make_knm, 2), "gb": (make_gb, 1), "gc": (make_gc, 1),
+    "kite": (make_kite, 2, lambda p, q: (p, q)), "path": (make_path, 1, lambda n: (1, n - 1)),
+    "complete": (make_complete, 1, lambda n: (n, 0)), "knm": (make_knm, 2, None),
+    "gb": (make_gb, 1, None), "gc": (make_gc, 1, None),
 }
 
 
@@ -317,7 +319,7 @@ def parse_graph_spec(raw: str) -> tuple[Graph, KiteParams | None]:
     ``kite:p,q | path:n | complete:n | knm:n,m | gb:p | gc:p | g6:<string>``
 
     where an integer is an optional minus and ASCII digits.  Returns the
-    graph and, for ``kite:p,q`` only, its kite parameters.
+    graph and the kite parameters of a kite-shaped spec with n >= 1.
     """
     if ":" not in raw:
         raise SpecParseError(raw, 0, "expected 'family:args'")
@@ -340,9 +342,9 @@ def parse_graph_spec(raw: str) -> tuple[Graph, KiteParams | None]:
         return vals
 
     if head == "g6":
-        make, args = decode_graph6, [tail]
+        make, args, kite = decode_graph6, [tail], None
     elif head in _FAMILIES:
-        make, arity = _FAMILIES[head]
+        make, arity, kite = _FAMILIES[head]
         args = ints(arity)
     else:
         raise SpecParseError(raw, 0, f"unknown family {head!r}")
@@ -350,4 +352,4 @@ def parse_graph_spec(raw: str) -> tuple[Graph, KiteParams | None]:
         g = make(*args)
     except GraphError as exc:
         raise SpecParseError(raw, argpos, str(exc)) from None
-    return g, KiteParams(*args) if head == "kite" else None
+    return g, KiteParams(*kite(*args)) if kite and g.n else None

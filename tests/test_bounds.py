@@ -21,7 +21,7 @@ from kitespec.bounds import (
     symmetric_eigenvalues,
     verify_lemma41_inequality,
 )
-from kitespec.charpoly import charpoly, kite_charpoly
+from kitespec.charpoly import charpoly, kite_charpoly, kite_radius_factor
 from kitespec.graph import (
     clique_number,
     triangle_count,
@@ -448,6 +448,16 @@ class TestRadiusSandwich:
             assert bounds._radius_lower(p) < rho - Fraction(1, 2**GRID_BITS), (p, q)
             assert rho < bounds._radius_upper(p), (p, q)
 
+    def test_radius_factor_gives_the_whole_polynomials_answers(self):
+        # R_{p,q} drops only the roots at -1, so the radius and the sandwich,
+        # both decided above p - 1 >= 2, are the same on R and on P
+        kites = [(p, q) for p in range(3, 24) for q in range(1, 25 - p)]
+        assert len(kites) == 231
+        for p, q in kites:
+            poly, factor = kite_charpoly(p, q), kite_radius_factor(p, q)
+            assert largest_root(factor) == largest_root(poly), (p, q)
+            assert kite_sandwich_holds(p, factor) == kite_sandwich_holds(p, poly), (p, q)
+
     def test_sandwich_fails_outside_the_bounds(self):
         # the wrong kite's polynomial breaks the sandwich from above and from
         # below, and p < 3 has no sandwich
@@ -536,9 +546,28 @@ class TestInequalityVerification:
             assert (cases, {(c.p, c.q, c.r) for c in violations}) == lemma41_oracle(p_max)
 
     @extended
-    def test_matches_fraction_oracle_at_cap(self):
-        cases, violations = verify_lemma41_inequality(LEMMA41_P_MAX)
-        assert (cases, {(c.p, c.q, c.r) for c in violations}) == lemma41_oracle(LEMMA41_P_MAX)
+    def test_matches_fraction_oracle_to_cap(self):
+        for p_max in range(3, LEMMA41_P_MAX + 1):
+            cases, violations = verify_lemma41_inequality(p_max)
+            assert (cases, {(c.p, c.q, c.r) for c in violations}) == lemma41_oracle(p_max)
+
+    def test_largest_left_side_identity_by_sympy(self):
+        # the step behind deciding each p at q = 1, r = p - 3: at the top r,
+        # t = p - 2q - 1, the left side f(q) = M(t-1)/t, M = p^2 - p + 2q,
+        # falls as q grows, since M - t(t-3) = 4(t + q(p - q)) > 0
+        sympy = pytest.importorskip("sympy")
+        p, q = sympy.symbols("p q")
+
+        def parts(q):
+            return p**2 - p + 2 * q, p - 2 * q - 1
+
+        def f(q):
+            big_m, t = parts(q)
+            return big_m * (t - 1) / t
+
+        big_m, t = parts(q)
+        assert sympy.simplify(f(q) - f(q + 1) - 2 * (big_m - t * (t - 3)) / (t * (t - 2))) == 0
+        assert sympy.expand(big_m - t * (t - 3) - 4 * (t + q * (p - q))) == 0
 
     @pytest.mark.parametrize("top", [1, 2, 3, 4, 10])
     def test_planted_rhs_breaks_the_top_cases(self, monkeypatch, top):

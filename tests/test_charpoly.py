@@ -16,6 +16,7 @@ from kitespec.charpoly import (
     charpoly_interpolated,
     kite_charpoly,
     kite_charpoly_series,
+    kite_radius_factor,
     walk_count,
 )
 from kitespec.graph import (
@@ -181,6 +182,23 @@ class TestKiteRecurrence:
             for q in range(0, 31 - p):
                 total = sum(map(abs, kite_charpoly_product(p, q).coeffs))
                 assert total <= p * 2 ** (p + q - 1) < 1 << _kite_width(p + q) - 1, (p, q)
+
+
+class TestRadiusFactor:
+    def test_times_the_twin_factor_is_the_product_formula(self):
+        # P(Kite_{p,q}) = (lambda + 1)^max(p-2, 0) * R_{p,q}, R of degree q + 2 for p >= 2
+        for p in range(1, 31):
+            for q in range(0, 31 - p):
+                r = kite_radius_factor(p, q)
+                assert (X + 1).pow(max(p - 2, 0)) * r == kite_charpoly_product(p, q), (p, q)
+                assert r.degree == (q + 2 if p >= 2 else q + 1), (p, q)
+
+    def test_coefficient_sums_fit_the_packing_width(self):
+        # the bound the width proof of ``_kite_width`` gives R
+        for p in range(2, 31):
+            for q in range(0, 31 - p):
+                total = sum(map(abs, kite_radius_factor(p, q).coeffs))
+                assert total <= p * 2 ** (q + 1) < 1 << _kite_width(p + q) - 1, (p, q)
 
 
 class TestBerkowitzVsSympy:

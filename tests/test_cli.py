@@ -23,7 +23,7 @@ import kitespec
 from kitespec import bounds, cli, das, enumeration
 from kitespec.charpoly import charpoly, kite_charpoly
 from kitespec.enumeration import EnumConstraints, cache_load
-from kitespec.graph import decode_graph6, encode_graph6, make_kite
+from kitespec.graph import decode_graph6, encode_graph6, make_kite, parse_graph_spec
 
 from conftest import lemma41_oracle, random_graph
 
@@ -294,6 +294,22 @@ class TestCensusAndVerify:
         assert code == EXIT_THEOREM_CONTRADICTED
         assert "5,1,2,11,169/16,False" in out.splitlines()
 
+    def test_lemma41_violations_at_one_p_exit_2(self, capsys, monkeypatch):
+        # a lower bound of 15/2 at p = 9 squares to 56.25, below p = 9's three
+        # largest left sides, 185/3 at (1, 6), 296/5 at (1, 5) and 57 at (2, 4)
+        real = bounds._radius_lower
+
+        def radius_lower(p):
+            return Fraction(15, 2) if p == 9 else real(p)
+
+        monkeypatch.setattr(bounds, "_radius_lower", radius_lower)
+        code, out, _ = run(capsys, "--format", "json", "lemma41-check", "--max-p", "12")
+        assert code == EXIT_THEOREM_CONTRADICTED
+        payload = json.loads(out)
+        found = {(v["p"], v["q"], v["r"]) for v in payload["violations"]}
+        assert (payload["checks"], found) == lemma41_oracle(12, lambda p: radius_lower(p) ** 2)
+        assert found == {(9, 1, 6), (9, 1, 5), (9, 2, 4)}
+
     def test_lemma41_check_over_cap_is_usage_error(self, capsys):
         code, out, err = run(capsys, "--format", "json", "lemma41-check", "--max-p", "101")
         assert code == EXIT_USAGE
@@ -374,8 +390,9 @@ class TestBoundsCommand:
 
     def test_wrong_radius_contradicts_theorem(self, capsys, monkeypatch):
         # a wrong rho: Kite_{6,2}'s polynomial, radius 5.035..., stands in for
-        # Kite_{5,3}'s, whose sandwich ends at 4.1166...
-        monkeypatch.setattr(cli, "kite_charpoly", lambda p, q: kite_charpoly(6, 2))
+        # Kite_{5,3}'s, whose sandwich ends at 4.1166...; the plant replaces
+        # the radius factor, which bounds --q reads
+        monkeypatch.setattr(cli, "kite_radius_factor", lambda p, q: kite_charpoly(6, 2))
         code, out, _ = run(capsys, "bounds", "--p", "5", "--q", "3")
         assert code == EXIT_THEOREM_CONTRADICTED
         assert "= 5.035470" in out and "VIOLATED" in out
@@ -384,9 +401,36 @@ class TestBoundsCommand:
         assert json.loads(out)["sandwich_holds"] is False
 
 
+KITE_SHAPED = ([f"kite:{p},{n - p}" for n in range(1, 25) for p in range(1, n + 1)]
+               + [f"{family}:{n}" for family in ("path", "complete") for n in range(1, 25)])
+
+
+def test_kite_shaped_specs_match_the_power_sums(capsys):
+    # a kite-shaped spec takes its polynomial and its radius from the kite's
+    # own algebra; the built graph's power sums share no code with that walk
+    for spec in KITE_SHAPED:
+        g, kp = parse_graph_spec(spec)
+        assert kp is not None and kp.p + kp.q == g.n, spec
+        poly = charpoly(g)
+        code, out, _ = run(capsys, "--format", "json", "charpoly", spec)
+        assert code == EXIT_OK
+        assert json.loads(out)["coefficients"] == poly.to_json(), spec
+        code, out, _ = run(capsys, "--format", "json", "invariants", spec)
+        assert code == EXIT_OK
+        assert json.loads(out)["spectral_radius"] == round(bounds.largest_root(poly), 10), spec
+
+
+@pytest.mark.parametrize("spec", ["path:0", "complete:0"])
+def test_empty_kite_shaped_specs_are_no_kites(capsys, spec):
+    assert parse_graph_spec(spec)[1] is None
+    assert run(capsys, "charpoly", spec) == (EXIT_OK, "1\n", "")
+    code, out, _ = run(capsys, "--format", "json", "invariants", spec)
+    assert code == EXIT_OK and json.loads(out)["spectral_radius"] is None
+
+
 def test_kite_radius_is_the_built_graphs(capsys):
-    # the CLI takes a kite's polynomial from the pendant recurrence; its radius
-    # is the float that the power sums of the built kite give, bit for bit
+    # the CLI takes a kite's radius from the pendant recurrence's radius
+    # factor; it is the float that the power sums of the built kite give, bit for bit
     for n in range(1, 25):
         for p in range(1, n + 1):
             q = n - p

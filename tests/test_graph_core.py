@@ -215,12 +215,17 @@ class TestSpecGrammar:
             ("gb:4", 6, 8),
             ("gc:4", 6, 8),
             ("g6:Bw", 3, 3),
+            ("path:0", 0, 0),
+            ("complete:0", 0, 0),
         ],
     )
     def test_valid_specs(self, raw, n, m):
         g, params = parse_graph_spec(raw)
         assert (g.n, g.edge_count()) == (n, m)
-        assert params == (KiteParams(4, 2) if raw.startswith("kite:") else None)
+        # P_n is Kite_{1,n-1} and K_n is Kite_{n,0}; no kite has 0 vertices
+        kites = {"kite:4,2": KiteParams(4, 2), "path:5": KiteParams(1, 4),
+                 "complete:4": KiteParams(4, 0)}
+        assert params == kites.get(raw)
 
     @pytest.mark.parametrize(
         "raw", ["kite", "kite:1", "kite:a,b", "blob:3", "knm:3,5", "g6:", "path:x",
