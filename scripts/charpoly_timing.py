@@ -34,6 +34,9 @@ def main() -> None:
     args = ap.parse_args()
     if args.graphs < 1:
         ap.error(f"--graphs must be at least 1, got {args.graphs}")
+    for flag, n in (("--min-n", args.min_n), ("--max-n", args.max_n)):
+        if not 0 <= n <= HARD_CAP:
+            ap.error(f"{flag} must be in 0..{HARD_CAP}, got {n}")
 
     for n in range(args.min_n, args.max_n + 1):
         for p in map(float, args.p.split(",")):

@@ -238,11 +238,12 @@ def kite_radius_bounds(p: int) -> tuple[float, float]:
 
 
 def kite_sandwich_holds(p: int, poly: IntPolynomial) -> bool:
-    """Whether the largest root of ``poly``, a kite's characteristic
-    polynomial with clique size p >= 3, is strictly inside the exact
-    sandwich: a root above the lower bound, none above the upper.  None is
-    on the upper bound, which is not an integer: by the rational root
-    theorem a monic integer polynomial has no other rational root."""
+    """Whether the largest root of ``poly``, the radius factor R_{p,q} of a
+    kite with clique size p >= 3 or its characteristic polynomial (the two
+    share every root above -1), is strictly inside the exact sandwich: a
+    root above the lower bound, none above the upper.  None is on the upper
+    bound, which is not an integer: by the rational root theorem a monic
+    integer polynomial, as both are, has no other rational root."""
     if p < 3:
         raise ValueError("bounds require p >= 3")
     return (_roots_above(poly, *_radius_lower(p).as_integer_ratio()) > 0
@@ -283,8 +284,8 @@ def verify_lemma41_inequality(
     largest left side, q = 1 and r = p - 3: 2m(r-1)/r grows with r, and at
     the top r, t = p - 2q - 1, it is f(q) = M(t-1)/t, M = 2m, where f(q) -
     f(q+1) = 2(M - t(t-3)) / (t(t-2)) > 0, as t - 2 >= 2 and t(t-3) <
-    (p-3)^2 < M.  Only if that fails, or for ``every_case``, are its (q, r)
-    walked, each q's top r first; only a returned record builds Fractions."""
+    (p-3)^2 < M.  Only if that fails, or for ``every_case``, are all its
+    (q, r) walked; only a returned record builds Fractions."""
     if p_max < 3:
         raise ValueError("p_max >= 3 required")
     if p_max > LEMMA41_P_MAX:
@@ -300,11 +301,9 @@ def verify_lemma41_inequality(
         rhs = Fraction(num, den)
         for q in range(1, big_q + 1):
             two_m = p * p - p + 2 * q
-            top = p - 2 * q - 1
-            if every_case or two_m * (top - 1) * den >= num * top:
-                for r in range(2, top + 1):
-                    holds = two_m * (r - 1) * den < num * r
-                    if every_case or not holds:
-                        lhs = Fraction(two_m * (r - 1), r)
-                        records.append(InequalityCheck(p, q, r, lhs, rhs, holds))
+            for r in range(2, p - 2 * q):
+                holds = two_m * (r - 1) * den < num * r
+                if every_case or not holds:
+                    lhs = Fraction(two_m * (r - 1), r)
+                    records.append(InequalityCheck(p, q, r, lhs, rhs, holds))
     return cases, records

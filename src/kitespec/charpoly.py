@@ -11,11 +11,11 @@ Kites need no graph at all: the pendant rule P(G) = lambda*P(G - x1) -
 P(G - x1 - x2), for a pendant x1 with neighbour x2, runs from P(K_p) along the
 path on Kronecker-packed ints, polynomials evaluated at X = 2^w, one shift and
 one subtraction a step.  That walk owns the recurrence: :func:`kite_charpoly`
-unpacks its last term, :func:`kite_charpoly_series` each, and P(P_n) is
-Kite_{1,n-1}.  The rule is linear and P(K_p), P(K_{p-1}) share the factor
-(lambda + 1)^(p-2), so the walk from both divided by it gives the radius
-factor :func:`kite_radius_factor`, of degree q + 2.  The u + 1/u and expanded
-K_p closed forms are test oracles.
+unpacks its last term, and P(P_n) is Kite_{1,n-1}.  The rule is linear and
+P(K_p), P(K_{p-1}) share the factor (lambda + 1)^(p-2), so the walk from both
+divided by it gives the radius factor :func:`kite_radius_factor`, of degree
+q + 2, which every kite radius is read from.  The u + 1/u and expanded K_p
+closed forms are test oracles.
 
 All results are monic integer polynomials; cospectrality is decided only on
 these exact coefficient vectors, never on floating-point spectra.
@@ -136,12 +136,6 @@ def _unpack(v: int, w: int) -> tuple[int, ...]:
         coeffs.append((v & mask) - half)
         v >>= w
     return tuple(coeffs)
-
-
-def kite_charpoly_series(p: int, q_max: int) -> Iterator[tuple[int, ...]]:
-    """Coefficients of P(Kite_{p,q}) for q = 0, ..., q_max: the packed walk, unpacked."""
-    w = _kite_width(p + q_max)
-    return (_unpack(v, w) for v in _kite_packed(p, q_max, w))
 
 
 def _kite_last(p: int, q: int, drop: int) -> IntPolynomial:

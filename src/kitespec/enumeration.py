@@ -397,18 +397,6 @@ def canonical_form(g: Graph) -> CanonicalKey:
     return CanonicalKey(g.n, _cols_to_bits(cols))
 
 
-def canonical_graph(g: Graph) -> Graph:
-    """A canonically labeled copy (equal for all members of the class)."""
-    cols = _canonical_search(g)[0]
-    rows = [0] * g.n
-    for j, col in enumerate(cols):
-        for i in range(j):
-            if col >> (j - 1 - i) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return _trusted_graph(g.n, tuple(rows))
-
-
 # -- canonical augmentation ---------------------------------------------------
 
 

@@ -12,7 +12,6 @@ import os
 import random
 import time
 from fractions import Fraction
-from math import comb
 
 import pytest
 
@@ -44,7 +43,6 @@ from kitespec.enumeration import (
     enumerate_graphs,
 )
 from kitespec.graph import (
-    KiteParams,
     from_edges,
     is_connected,
     make_complete,
@@ -61,6 +59,8 @@ from conftest import (
     closed_form_gc,
     kite_u_identity_check,
     make_star,
+    random_connected_graph,
+    random_graph,
 )
 
 RADIUS_MARGIN = Fraction(1, 10**9)
@@ -72,19 +72,6 @@ def report(name: str, ok: bool, detail: str = ""):
     suffix = f" ({detail})" if detail else ""
     print(f"[{status}] {name}{suffix}")
     assert ok, f"{name}{suffix}"
-
-
-def _random_connected(rng: random.Random, n: int):
-    while True:
-        edges = [
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if rng.random() < 0.5
-        ]
-        g = from_edges(n, edges)
-        if is_connected(g):
-            return g
 
 
 def test_criterion_01_route_equivalence():
@@ -99,7 +86,7 @@ def test_criterion_01_route_equivalence():
             ok = ok and charpoly_pendant_recursive(g) == a == charpoly_interpolated(g)
             checked += 1
     for _ in range(500):
-        g = _random_connected(rng, rng.randint(2, 9))
+        g = random_connected_graph(rng, rng.randint(2, 9))
         a = charpoly(g)
         ok = ok and charpoly_pendant_recursive(g) == a == charpoly_interpolated(g)
         checked += 1
@@ -242,13 +229,13 @@ def test_criterion_08_cospectrality_trace_characterization():
     ok = True
     for _ in range(200):
         n = rng.randint(1, 8)
-        g = from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5])
-        h = from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5])
+        g = random_graph(rng, n)
+        h = random_graph(rng, n)
         same_traces = all(walk_count(g, i) == walk_count(h, i) for i in range(1, n + 1))
         ok = ok and are_cospectral(g, h) == same_traces
     for _ in range(500):
         n = rng.randint(1, 9)
-        g = from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5])
+        g = random_graph(rng, n)
         ok = ok and walk_count(g, 2) == 2 * g.edge_count()
         ok = ok and walk_count(g, 3) == 6 * triangle_count(g)
     elapsed = time.monotonic() - start

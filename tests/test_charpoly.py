@@ -8,14 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from kitespec import charpoly as charpoly_mod
 from kitespec.charpoly import (
+    _kite_packed,
     _kite_width,
     _power_sums,
+    _unpack,
     are_cospectral,
     bareiss_det,
     charpoly,
     charpoly_interpolated,
     kite_charpoly,
-    kite_charpoly_series,
     kite_radius_factor,
     walk_count,
 )
@@ -172,9 +173,11 @@ class TestKiteRecurrence:
                 assert kite_charpoly(p, q) == kite_charpoly_product(p, q), (p, q)
 
     def test_every_term_of_the_series_at_the_census_cap(self):
+        # the packed walk, unpacked at the width verify_theorem31 compares at
+        w = _kite_width(30)
         for p in range(1, 30):
-            series = list(kite_charpoly_series(p, 30 - p))
-            assert series == [kite_charpoly_product(p, q).coeffs for q in range(31 - p)], p
+            walk = [_unpack(v, w) for v in _kite_packed(p, 30 - p, w)]
+            assert walk == [kite_charpoly_product(p, q).coeffs for q in range(31 - p)], p
 
     def test_coefficient_sums_fit_the_packing_width(self):
         # the bound the width proof of ``_kite_width`` rests on, and what it gives

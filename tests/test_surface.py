@@ -7,6 +7,7 @@ The scripts are run as the user runs them, in a fresh interpreter.
 """
 
 import ast
+import hashlib
 import json
 import os
 import subprocess
@@ -14,14 +15,14 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 from kitespec.bounds import spectral_radius
-from kitespec.graph import make_kite
+from kitespec.graph import HARD_CAP, make_kite
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "kitespec"
 CALLER_DIRS = (ROOT / "src", ROOT / "scripts", ROOT / "perfbench")
-# the canonical-labelling entry point, kept for library users
-ALLOWED_UNCALLED = {"canonical_graph"}
 
 
 def _names_used(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
@@ -62,7 +63,7 @@ def test_every_public_definition_has_a_caller_outside_tests():
                 node.name in _names_used(tree, node if other == path else None)
                 for other, tree in trees.items()
             )
-            if not called and node.name not in ALLOWED_UNCALLED:
+            if not called:
                 uncalled.append(f"{path.name}:{node.name}")
     assert not uncalled, f"public names with no caller outside tests/: {uncalled}"
 
@@ -77,12 +78,16 @@ def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
 
 class TestScripts:
     def test_bounds_table_reaches_the_cap(self):
-        # Kite_{23,1} has 24 vertices, exactly the cap
-        proc = run_script("bounds_table.py", "--max-p", "23", "--max-q", "1")
+        # every kite up to the cap; Kite_{23,1} has 24 vertices, exactly the cap
+        proc = run_script("bounds_table.py", "--max-p", "23", "--max-q", "21")
         assert proc.returncode == 0, proc.stderr
         tail = proc.stdout.split("p = 23:")[1]
-        # the pendant-recurrence radius agrees with the power sums of the built kite
+        # the radius from R_{23,1} agrees with the power sums of the built kite
         assert f"q =  1: rho = {spectral_radius(make_kite(23, 1)):.10f} " in tail
+        # every row, pinned: 21 header lines and 231 kites
+        assert proc.stdout.count("\n") == 252
+        digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+        assert digest == "31761fd8f363a55e6c9dcd727ab113c1a31167e6c748e5a7738d7ba78827c1e1"
 
     def test_charpoly_timing_prints_one_line_per_cell(self):
         proc = run_script("charpoly_timing.py", "--min-n", "3", "--max-n", "4", "--p", "0.5,1", "--graphs", "2")
@@ -91,12 +96,22 @@ class TestScripts:
         assert [(r["n"], r["p"]) for r in rows] == [(3, 0.5), (3, 1.0), (4, 0.5), (4, 1.0)]
         assert all(r["q1"] <= r["us_per_call"] <= r["q3"] for r in rows)
 
-    def test_charpoly_timing_rejects_no_graphs(self):
-        proc = run_script("charpoly_timing.py", "--min-n", "3", "--max-n", "3", "--graphs", "0")
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--min-n", "3", "--max-n", "3", "--graphs", "0"], "--graphs must be at least 1, got 0"),
+            # an order outside 0..HARD_CAP is refused before any row is timed
+            (["--min-n", "24", "--max-n", "25"], f"--max-n must be in 0..{HARD_CAP}, got 25"),
+            (["--min-n", "-1"], f"--min-n must be in 0..{HARD_CAP}, got -1"),
+        ],
+        ids=["no-graphs", "past-the-cap", "negative"],
+    )
+    def test_charpoly_timing_rejects_bad_arguments(self, argv, message):
+        proc = run_script("charpoly_timing.py", *argv)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
-        assert proc.stderr.splitlines()[-1].endswith("error: --graphs must be at least 1, got 0")
+        assert proc.stderr.splitlines()[-1].endswith(f"error: {message}")
 
     def test_das_sweep_rejects_an_order_past_the_desk_range(self):
         proc = run_script("das_sweep.py", "--max-order", "10", "--workers", "1")
