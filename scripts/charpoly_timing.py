@@ -37,9 +37,16 @@ def main() -> None:
     for flag, n in (("--min-n", args.min_n), ("--max-n", args.max_n)):
         if not 0 <= n <= HARD_CAP:
             ap.error(f"{flag} must be in 0..{HARD_CAP}, got {n}")
+    try:
+        probabilities = [float(p) for p in args.p.split(",")]
+    except ValueError:
+        ap.error(f"--p must be comma-separated numbers, got {args.p!r}")
+    for p in probabilities:
+        if not 0 <= p <= 1:
+            ap.error(f"--p values must be in [0, 1], got {p}")
 
     for n in range(args.min_n, args.max_n + 1):
-        for p in map(float, args.p.split(",")):
+        for p in probabilities:
             rng = random.Random(f"{SEED}:{n}:{p}")
             per_call = []
             for _ in range(args.graphs):

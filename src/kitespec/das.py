@@ -11,13 +11,16 @@ space is cospectral with the target without being isomorphic to it.
 Complementing maps the classes with m edges one to one onto those with
 C(n, 2) - m edges, so a target with more than half of the C(n, 2) pairs is
 searched through the sparser space: its classes are enumerated, where the
-edge window prunes far harder, and each is complemented before the
-prefilter and the comparison, which see only graphs of the target's own
-space.  A mate of such a target is reported as the complement of a sparse
-representative.  The walked space is built once, and the merged class
-count must equal its own Polya count (``EnumConstraints.classes``), so a
-walk that loses or repeats a class fails loudly instead of passing as
-exhaustive.
+edge window prunes far harder.  Goodman's identity,
+t(complement of G) = C(n, 3) - (n - 1) m + sum(d_i^2) / 2 - t(G), gives
+the triangle count of each one's complement from the sparse graph itself,
+so the prefilter runs before anything is complemented, and only its
+survivors are complemented for the comparison, which sees only graphs of
+the target's own space.  A mate of such a target is reported as the
+complement of a sparse representative.  The walked space is built once,
+and the merged class count must equal its own Polya count
+(``EnumConstraints.classes``), so a walk that loses or repeats a class
+fails loudly instead of passing as exhaustive.
 """
 
 from __future__ import annotations
@@ -75,17 +78,23 @@ def _scan_partition(args) -> tuple[int, int, list[str]]:
     target_poly = charpoly(target)
     target_key = canonical_form(target)
     target_t = triangle_count(target)
-    # a dense target's space is walked as the complements of the sparse one
+    # a dense target's space is walked as the complements of the sparse one;
+    # Goodman's identity prefilters each sparse graph (module docstring), and
+    # only a survivor is complemented
     flip = space.edges != target.edge_count()
+    goodman = comb(n, 3) - (n - 1) * space.edges
     partition = (part, total) if total > 1 else None
     full = (1 << n) - 1
     scanned = survivors = 0
     mates = []
     for g in enumerate_graphs(space, partition):
-        if flip:
-            g = _trusted_graph(n, tuple(full & ~row & ~(1 << i) for i, row in enumerate(g.rows)))
         scanned += 1
-        if triangle_count(g) != target_t:
+        if flip:
+            squares = sum(row.bit_count() ** 2 for row in g.rows)
+            if goodman + squares // 2 - triangle_count(g) != target_t:
+                continue
+            g = _trusted_graph(n, tuple(full & ~row & ~(1 << i) for i, row in enumerate(g.rows)))
+        elif triangle_count(g) != target_t:
             continue
         survivors += 1
         if charpoly(g) != target_poly:
@@ -234,6 +243,7 @@ def verify_theorem42(p: int, workers: int = 1) -> SearchReport:
     """Theorem 4.2 at order p + 2: ``verify_kite(p, 2)``.  For p >= 4 the
     kite has more than half of the vertex pairs, so the search walks the
     complements of the graphs with 2p - 1 edges; for p = 7 these are the
-    10120 classes with 9 vertices and 13 edges, dealt to the workers by
-    their parents on 8 vertices."""
+    10120 classes with 9 vertices and 13 edges, dealt to the workers as the
+    children their nodes on 7 vertices try, and prefiltered by Goodman's
+    identity before any is complemented."""
     return verify_kite(p, 2, workers)

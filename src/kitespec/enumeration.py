@@ -58,8 +58,12 @@ child is refined only until canonical deletion is decided: the top
 refinement class only shrinks, so the child is dropped as soon as the new
 vertex leaves it, and on the last level it is yielded as soon as the new
 vertex is alone in it, since it is then last in every cell-respecting
-ordering and nothing uses a leaf's automorphisms.  Only the remaining
-children get full cells and a canonical search.
+ordering and nothing uses a leaf's automorphisms.  On the last level the
+first two rounds of that decision are read from the parent's degree
+classes before anything is built (``_leaf_rank``): a rejected candidate is
+never built, a kept one is built and yielded, and only a tie is built and
+refined.  Only the remaining children get full cells and a canonical
+search.
 
 Three shortcuts in the kernel leave every key, ``last`` orbit, generator
 and stream as they were.  A refinement round given ``new`` counts the top
@@ -418,6 +422,47 @@ def _extend(parent: Graph, mask: int) -> Graph:
     return _trusted_graph(k + 1, tuple(rows))
 
 
+def _leaf_rank(rows: tuple[int, ...], by_degree: list[int], mask: int) -> int:
+    """Rounds 0 and 1 of ``_refinement_cells(child, k, leaf=True)`` for the
+    leaf ``child = _extend(parent, mask)``, read from the parent's rows and
+    its degree classes ``by_degree[d]`` (bitmasks, d = 0..k) before the
+    child is built: 1 where that call returns ``[[k]]`` by round 1, -1 where
+    it returns None by then, and 0 on a tie, which the later rounds of the
+    full refinement decide.
+
+    The edge window makes w = |mask| the child's maximum degree, so round 0
+    never rejects the new vertex k.  The child's class of degree d is
+    ``D_d & ~mask | D_{d-1} & mask`` (k joins the top class, d = w), and the
+    new vertex's rivals are the rest of the top class; with none, k is alone
+    there.  Round 1 gives each of them a tuple of non-neighbour counts over
+    the child's classes in ascending degree order (empty classes add a 0 to
+    every tuple and change no comparison): k's non-neighbours are ``~mask``,
+    those of a rival v are ``~(row_v | bit_k)`` when v is in the mask and
+    ``~row_v`` otherwise.  A rival's larger tuple rejects k; a tuple of k's
+    larger than every rival's keeps it.
+    """
+    new = 1 << len(rows)
+    w = mask.bit_count()
+    outside = ~mask
+    # by_degree[-1] is D_k, empty on k vertices, so d = 0 needs no case
+    rivals = by_degree[w] & outside | by_degree[w - 1] & mask
+    if not rivals:
+        return 1
+    cells = [by_degree[d] & outside | by_degree[d - 1] & mask for d in range(w)]
+    cells.append(rivals | new)
+    count = int.bit_count
+    mine = tuple(map(count, map(outside.__and__, cells)))
+    rank = 1
+    for v in _bits(rivals):
+        row = rows[v] | new if mask >> v & 1 else rows[v]
+        theirs = tuple(map(count, map((~row).__and__, cells)))
+        if theirs > mine:
+            return -1
+        if theirs == mine:
+            rank = 0
+    return rank
+
+
 def enumerate_graphs(
     constraints: EnumConstraints,
     partition: tuple[int, int] | None = None,
@@ -428,33 +473,46 @@ def enumerate_graphs(
 
     ``partition=(k, K)`` restricts the walk to the k-th of K deterministic
     subtrees; merging all K streams reproduces the full stream as a set.  The
-    split is made at the leaf parents, the nodes on n - 1 vertices (for
-    n = 0, the null graph itself), which are dealt out round robin in walk
-    order: each partition walks the internal levels again, which are cheap
-    beside the last, and the leaves fall nearly evenly (5056 and 5064 of
-    the 10120 classes with 9 vertices and 13 edges), where a split higher
-    up leaves a few subtrees holding most of a sparse space.
+    split is made one level above the leaf parents: the candidate masks of
+    the nodes on n - 2 vertices that pass the weight window, the
+    maximum-degree test and the orbit test are numbered in walk order and
+    dealt out round robin, and a partition builds, refines and searches only
+    its own.  Every partition walks the levels above in full, which are
+    cheap beside the last two, so all number the candidates alike; the
+    leaves fall nearly evenly (5212 and 4908 of the 10120 classes with 9
+    vertices and 13 edges), where a split higher up leaves a few subtrees
+    holding most of a sparse space.  With no level n - 2 (n < 2) the whole
+    stream, a single class, is partition 0's.
     """
     n = constraints.n
     if partition is not None:
-        k, total = partition
-        if not (total >= 1 and 0 <= k < total):
+        part, total = partition
+        if not (total >= 1 and 0 <= part < total):
             raise EnumerationError(f"bad partition {partition}")
+        if n < 2 and part:
+            return
     target_edges = constraints.edges
     max_total = comb(n, 2)
+    dealt = 0  # candidates numbered so far on the split level
 
     def children(
         parent: Graph, gens: list[list[int]]
     ) -> Iterator[tuple[Graph, list[list[int]]]]:
         """Canonical children of ``parent`` with their automorphism
         generators; ``gens`` generate Aut(parent)."""
+        nonlocal dealt
         k = parent.n
         last_level = k + 1 == n
+        split = partition is not None and k + 2 == n
         covered: set[int] = set()  # masks in the orbit of an earlier one
         degrees = [r.bit_count() for r in parent.rows]
         top = max(degrees, default=0)
         top_mask = sum(1 << i for i, d in enumerate(degrees) if d == top)
         edges = sum(degrees) // 2
+        if last_level:
+            by_degree = [0] * (k + 1)
+            for i, d in enumerate(degrees):
+                by_degree[d] |= 1 << i
         # the last cell, which holds the canonical-deletion vertex, lies
         # inside the child's maximum-degree class: the new vertex needs
         # degree top, or top + 1 when it meets a vertex of degree top
@@ -475,8 +533,19 @@ def enumerate_graphs(
                 if mask in covered:
                     continue
                 covered |= _mask_orbit(mask, gens)
-            child = _extend(parent, mask)
-            cells = _refinement_cells(child, k, last_level)
+            if split:
+                dealt += 1
+                if (dealt - 1) % total != part:
+                    continue
+            if last_level:
+                rank = _leaf_rank(parent.rows, by_degree, mask)
+                if rank < 0:
+                    continue
+                child = _extend(parent, mask)
+                cells = [[k]] if rank else _refinement_cells(child, k, True)
+            else:
+                child = _extend(parent, mask)
+                cells = _refinement_cells(child, k)
             if cells is None:
                 continue
             if last_level and len(cells[-1]) == 1:
@@ -488,22 +557,19 @@ def enumerate_graphs(
             if last >> k & 1:
                 yield child, child_gens
 
-    split_level = max(n - 1, 0) if partition is not None else None
-
-    def walk(g: Graph, gens: list[list[int]], index: list[int]) -> Iterator[Graph]:
-        if split_level is not None and g.n == split_level:
-            mine = index[0] % partition[1] == partition[0]
-            index[0] += 1
-            if not mine:
-                return
-        if g.n == n:
+    def walk(g: Graph, gens: list[list[int]]) -> Iterator[Graph]:
+        if g.n + 1 == n:
             # the edge window closes to the target on the last level
-            yield g
-            return
-        for child, child_gens in children(g, gens):
-            yield from walk(child, child_gens, index)
+            for child, _ in children(g, gens):
+                yield child
+        else:
+            for child, child_gens in children(g, gens):
+                yield from walk(child, child_gens)
 
-    yield from walk(Graph(0, ()), [], [0])
+    if n:
+        yield from walk(Graph(0, ()), [])
+    else:
+        yield Graph(0, ())
 
 
 # -- on-disk graph6 cache -----------------------------------------------------

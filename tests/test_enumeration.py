@@ -60,8 +60,8 @@ CONSTRAINED_STREAM_SHA256 = [
 # the two halves of the n = 9, m = 13 stream the p = 7 mate search scans,
 # as the complements of the n = 9, m = 23 classes
 N9_M13_PARTITION_SHA256 = [
-    "a6b13dffe9cae917101c9e76e0191a217fb489de5325a375013465952aff284e",
-    "c0ad38880f1b03d7ae11788005c5556be798aa769689ed95524593202570ec75",
+    "e4ececabb9987ad9c4dd305bcf122b5b51afa6c2e30878dd695b7c9dfdce49b9",
+    "70c33406b14f18838d4604c2ed12bd40c60d650e40d7102a39914a607a45e6c0",
 ]
 
 # sha256 over (bits, last) of _canonical_search for every class on the given
@@ -73,11 +73,13 @@ CANONICAL_KEYS_SHA256 = {
 }
 
 # children built at each child order 2..n by a constrained walk, counted at
-# _extend: the degree-monotone edge window sets these, the stream does not
+# _extend: the degree-monotone edge window sets these, the stream does not;
+# on the last level a candidate is built only when kept or tied by its
+# parent-side rounds 0 and 1 (_leaf_rank)
 BUILT_CHILDREN_PER_LEVEL = [
-    pytest.param(EnumConstraints(8, edges=14), [2, 4, 7, 19, 85, 528, 2452], id="n8-m14"),
+    pytest.param(EnumConstraints(8, edges=14), [2, 4, 7, 19, 85, 528, 1772], id="n8-m14"),
     pytest.param(
-        EnumConstraints(9, edges=23), [2, 4, 11, 33, 155, 993, 5925, 16424],
+        EnumConstraints(9, edges=23), [2, 4, 11, 33, 155, 993, 5925, 11035],
         id="n9-m23", marks=extended,
     ),
 ]
@@ -244,6 +246,83 @@ class TestDeletionDecision:
         assert decisions.keys() == {"reject", "lone", "search"}
 
 
+def first_rounds(child, v):
+    """The deletion test of ``v`` after refinement rounds 0 and 1, read from
+    the built ``child`` in the form the ``_refinement_cells`` docstring
+    states: a vertex's round-1 key within its degree class is the sorted
+    tuple of its neighbours' degrees.  -1 rejects ``v``, 1 keeps it alone,
+    0 leaves it to later rounds."""
+    degrees = [row.bit_count() for row in child.rows]
+    if degrees[v] < max(degrees):
+        return -1
+    rivals = [u for u in range(child.n) if u != v and degrees[u] == degrees[v]]
+
+    def key(u):
+        return sorted(degrees[x] for x in range(child.n) if child.rows[u] >> x & 1)
+
+    if any(key(u) > key(v) for u in rivals):
+        return -1
+    return 1 if all(key(u) < key(v) for u in rivals) else 0
+
+
+def leaf_rank_calls(spaces):
+    """The arguments of every ``_leaf_rank`` call the walks of ``spaces`` make:
+    each candidate mask of each leaf parent that reaches the leaf test."""
+    calls = []
+    rank = enumeration._leaf_rank
+
+    def recording(rows, by_degree, mask):
+        calls.append((rows, by_degree, mask))
+        return rank(rows, by_degree, mask)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enumeration, "_leaf_rank", recording)
+        for constraints in spaces:
+            for _ in enumerate_graphs(constraints):
+                pass
+    return calls
+
+
+def leaf_rank_mismatches(calls, rank):
+    """The calls on which ``rank`` differs from rounds 0 and 1 on the built
+    child, or a decided verdict from ``_refinement_cells(child, k, True)``
+    (reject: None, keep: [[k]]); a tie may go either way in later rounds."""
+    bad = []
+    for rows, by_degree, mask in calls:
+        k = len(rows)
+        child = enumeration._extend(Graph(k, rows), mask)
+        cells = enumeration._refinement_cells(child, k, True)
+        got = rank(rows, by_degree, mask)
+        if got != first_rounds(child, k) or (got and cells != ([[k]] if got > 0 else None)):
+            bad.append((encode_graph6(child), got))
+    return bad
+
+
+class TestLeafRank:
+    """The last level decides refinement rounds 0 and 1 from the parent's
+    bitmasks (``_leaf_rank``); only a tie builds and refines the child."""
+
+    SMALL_SPACES = [EnumConstraints(n, m) for n in range(8) for m in range(comb(n, 2) + 1)]
+
+    def test_matches_the_built_child(self):
+        calls = leaf_rank_calls(self.SMALL_SPACES)
+        assert leaf_rank_mismatches(calls, enumeration._leaf_rank) == []
+        ranks = Counter(enumeration._leaf_rank(*call) for call in calls)
+        assert ranks.keys() == {-1, 0, 1}, ranks
+
+        def keeps_ties(rows, by_degree, mask):
+            return enumeration._leaf_rank(rows, by_degree, mask) or 1
+
+        # the check catches a rank that keeps a tie
+        assert leaf_rank_mismatches(calls, keeps_ties)
+
+    @extended
+    def test_matches_the_built_child_n9_m13(self):
+        calls = leaf_rank_calls([EnumConstraints(9, edges=13)])
+        assert len(calls) == 15800
+        assert leaf_rank_mismatches(calls, enumeration._leaf_rank) == []
+
+
 class TestTrustedBuilds:
     """Children, decodes and canonical copies skip Graph validation; each
     must still be a graph that validation accepts."""
@@ -301,17 +380,21 @@ class TestEnumeration:
         )
         assert total == ALL_COUNTS[6]
 
-    def test_partitions_merge_to_full_stream(self):
-        full = {canonical_form(g) for g in enumerate_graphs(EnumConstraints(6))}
-        merged = set()
-        for k in range(4):
-            part = {
-                canonical_form(g)
-                for g in enumerate_graphs(EnumConstraints(6), partition=(k, 4))
-            }
-            assert part <= full
-            merged |= part
-        assert merged == full
+    @pytest.mark.parametrize("total", [2, 3, 4], ids=lambda total: f"K{total}")
+    @pytest.mark.parametrize(
+        "constraints",
+        [EnumConstraints(n, m) for n in range(8) for m in range(comb(n, 2) + 1)]
+        + [EnumConstraints(n) for n in range(8)],
+        ids=lambda c: f"n{c.n}" + ("" if c.edges is None else f"-m{c.edges}"),
+    )
+    def test_partitions_merge_to_full_stream(self, constraints, total):
+        full = sorted(encode_graph6(g) for g in enumerate_graphs(constraints))
+        parts = [
+            [encode_graph6(g) for g in enumerate_graphs(constraints, partition=(k, total))]
+            for k in range(total)
+        ]
+        # the full stream repeats no class, so neither do the parts together
+        assert sorted(chain.from_iterable(parts)) == full
 
     def test_null_graph_is_one_class(self):
         for cons in (EnumConstraints(0), EnumConstraints(0, edges=0)):
@@ -374,7 +457,8 @@ class TestEnumeration:
         ids=["n8-m10", "n9-m13"],
     )
     def test_partitions_balanced(self, constraints):
-        # the leaf parents are dealt out, so neither half is a small remainder
+        # the candidates of the nodes on n - 2 vertices are dealt out, so
+        # neither half is a small remainder (5212 and 4908 on n9-m13)
         halves = [
             [encode_graph6(g) for g in enumerate_graphs(constraints, partition=(k, 2))]
             for k in range(2)

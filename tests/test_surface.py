@@ -103,8 +103,12 @@ class TestScripts:
             # an order outside 0..HARD_CAP is refused before any row is timed
             (["--min-n", "24", "--max-n", "25"], f"--max-n must be in 0..{HARD_CAP}, got 25"),
             (["--min-n", "-1"], f"--min-n must be in 0..{HARD_CAP}, got -1"),
+            # so is a probability list that is not numbers in [0, 1]
+            (["--min-n", "3", "--max-n", "3", "--p", "abc", "--graphs", "1"],
+             "--p must be comma-separated numbers, got 'abc'"),
+            (["--min-n", "3", "--max-n", "3", "--p", "0.5,1.5"], "--p values must be in [0, 1], got 1.5"),
         ],
-        ids=["no-graphs", "past-the-cap", "negative"],
+        ids=["no-graphs", "past-the-cap", "negative", "p-not-a-number", "p-past-one"],
     )
     def test_charpoly_timing_rejects_bad_arguments(self, argv, message):
         proc = run_script("charpoly_timing.py", *argv)
