@@ -8,8 +8,9 @@ per (p, q) and exits 2 if any mate is found.
 Usage:
     python3 scripts/das_sweep.py [--max-order 9] [--workers 4]
 
-An order above DESK_ORDER_MAX (9) is rejected before any search starts,
-with exit code 1.
+A usage error (a malformed argument, an order above DESK_ORDER_MAX (9),
+fewer than one worker) is one ``error:`` line and exit code 1, before any
+search starts.
 """
 
 import argparse
@@ -19,15 +20,23 @@ import time
 from kitespec.das import DESK_ORDER_MAX, VERDICT_DAS, verify_kite
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exit 1 with one ``error:`` line on a usage error: exit 2 means a mate."""
+
+    def error(self, message):
+        self.exit(1, f"error: {message}\n")
+
+
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap = _Parser(description=__doc__.splitlines()[0])
     ap.add_argument("--max-order", type=int, default=9, help="largest p + q to scan")
     ap.add_argument("--workers", type=int, default=4)
     args = ap.parse_args()
     if args.max_order > DESK_ORDER_MAX:
-        print(f"error: --max-order {args.max_order} is past the desk-scale range "
-              f"p + q <= {DESK_ORDER_MAX}", file=sys.stderr)
-        return 1
+        ap.error(f"--max-order {args.max_order} is past the desk-scale range "
+                 f"p + q <= {DESK_ORDER_MAX}")
+    if args.workers < 1:
+        ap.error(f"--workers must be at least 1, got {args.workers}")
 
     failures = 0
     print(f"{'p':>3} {'q':>3} {'n':>3} {'classes':>9} {'survivors':>9} "

@@ -53,30 +53,27 @@ cuts only subtrees without a leaf of m edges, and being a popcount bound it
 keeps every orbit's least mask, so the stream and its order are those of
 the unconstrained walk filtered to m edges.
 
-Children are built from the parent's rows without re-validation.  A built
-child is refined only until canonical deletion is decided: the top
-refinement class only shrinks, so the child is dropped as soon as the new
-vertex leaves it, and on the last level it is yielded as soon as the new
-vertex is alone in it, since it is then last in every cell-respecting
-ordering and nothing uses a leaf's automorphisms.  On the last level the
+Children are built from the parent's rows without re-validation.  The
+top refinement class only shrinks and stays the last cell, so the new
+vertex is rejected once it leaves that class and, on the last level, kept
+once it is alone there, since it is then last in every cell-respecting
+ordering and nothing uses a leaf's automorphisms.  On every level the
 first two rounds of that decision are read from the parent's degree
-classes before anything is built (``_leaf_rank``): a rejected candidate is
-never built, a kept one is built and yielded, and only a tie is built and
-refined.  Only the remaining children get full cells and a canonical
-search.
+classes before anything is built (``_deletion_rank``): a rejected
+candidate is never built, and on the last level a kept one is built and
+yielded.  Every other candidate is built and refined once, in full; its
+last cell decides the later rounds in the same way, and only the children
+still undecided get a canonical search.
 
-Three shortcuts in the kernel leave every key, ``last`` orbit, generator
-and stream as they were.  A refinement round given ``new`` counts the top
-class first: every key starts with the old label, so ``new`` stays in the
-top (last) cell exactly when no other top vertex's counts beat its own, and
-is alone there when its counts are the unique maximum, which is the full
-round's decision.  A vertex alone in its class gets no counts, since its
-label already fixes its rank.  A discrete partition admits one ordering,
-which the search takes directly: no other leaf exists to yield an
-automorphism, and its last vertex is the whole ``last`` orbit.  Inside the
-search a flag carries whether the prefix is below the incumbent's or equal
-to it, and the tried candidates are closed under the automorphisms only
-when a later candidate is tested, so the same candidates are skipped.
+Two shortcuts in the kernel leave every key, ``last`` orbit, generator and
+stream as they were.  A vertex alone in its class gets no refinement
+counts, since its label already fixes its rank.  A discrete partition
+admits one ordering, which the search takes directly: no other leaf exists
+to yield an automorphism, and its last vertex is the whole ``last`` orbit.
+Inside the search a flag carries whether the prefix is below the
+incumbent's or equal to it, and the tried candidates are closed under the
+automorphisms only when a later candidate is tested, so the same
+candidates are skipped.
 """
 
 from __future__ import annotations
@@ -182,9 +179,7 @@ def _integer_partitions(n: int, largest: int) -> Iterator[tuple[int, ...]]:
             yield (part,) + rest
 
 
-def _refinement_cells(
-    g: Graph, new: int | None = None, leaf: bool = False
-) -> list[list[int]] | None:
+def _refinement_cells(g: Graph) -> list[list[int]]:
     """Vertex cells under iterated neighbor-label refinement, ordered by an
     isomorphism-invariant cell key.
 
@@ -192,42 +187,20 @@ def _refinement_cells(
     the number of its non-neighbours in that class (one bitset popcount
     each).  Vertices sharing a label share a degree and a class, so fewer
     non-neighbours means more neighbours, and the keys sort exactly as the
-    vertices' sorted tuples of neighbour labels would.
-
-    Each key starts with the previous label, so the top class only ever
-    shrinks and stays the last cell.  Given the vertex ``new``, refinement
-    therefore stops once canonical deletion of ``new`` is decided: it
-    returns None as soon as ``new`` leaves the top class and, with
-    ``leaf``, ``[[new]]`` as soon as the top class is ``new`` alone.
+    vertices' sorted tuples of neighbour labels would.  Each key starts
+    with the previous label, so the top class only ever shrinks and stays
+    the last cell.
     """
     n = g.n
     labels = [r.bit_count() for r in g.rows]
     non_adjacent = [~r for r in g.rows]
     count = int.bit_count
     classes = sorted(set(labels))
-    if new is not None:
-        if labels[new] != classes[-1]:
-            return None
-        if leaf and labels.count(labels[new]) == 1:
-            return [[new]]
     while True:
         masks = dict.fromkeys(classes, 0)
         for v, lab in enumerate(labels):
             masks[lab] |= 1 << v
         cellmasks = list(masks.values())
-        if new is not None:
-            # the round's deletion decision, from the top class alone
-            rivals = masks[classes[-1]] & ~(1 << new)
-            if rivals:
-                mine = tuple(map(count, map(non_adjacent[new].__and__, cellmasks)))
-                rival = max(
-                    tuple(map(count, map(non_adjacent[v].__and__, cellmasks)))
-                    for v in _bits(rivals)
-                )
-                if rival > mine:
-                    return None
-                if leaf and rival < mine:
-                    return [[new]]
         # a singleton class's rank is fixed by its label alone
         shared = {lab for lab, mask in masks.items() if mask & (mask - 1)}
         keys = [
@@ -422,24 +395,24 @@ def _extend(parent: Graph, mask: int) -> Graph:
     return _trusted_graph(k + 1, tuple(rows))
 
 
-def _leaf_rank(rows: tuple[int, ...], by_degree: list[int], mask: int) -> int:
-    """Rounds 0 and 1 of ``_refinement_cells(child, k, leaf=True)`` for the
-    leaf ``child = _extend(parent, mask)``, read from the parent's rows and
-    its degree classes ``by_degree[d]`` (bitmasks, d = 0..k) before the
-    child is built: 1 where that call returns ``[[k]]`` by round 1, -1 where
-    it returns None by then, and 0 on a tie, which the later rounds of the
-    full refinement decide.
+def _deletion_rank(rows: tuple[int, ...], by_degree: list[int], mask: int) -> int:
+    """Rounds 0 and 1 of the canonical-deletion test of the new vertex k in
+    ``child = _extend(parent, mask)``, read from the parent's rows and its
+    degree classes ``by_degree[d]`` (bitmasks, d = 0..k) before the child
+    is built: 1 where k is alone in the child's top refinement class after
+    round 1, -1 where k has left it by then, and 0 on a tie, which the
+    later rounds of the child's full refinement decide.
 
-    The edge window makes w = |mask| the child's maximum degree, so round 0
-    never rejects the new vertex k.  The child's class of degree d is
-    ``D_d & ~mask | D_{d-1} & mask`` (k joins the top class, d = w), and the
-    new vertex's rivals are the rest of the top class; with none, k is alone
-    there.  Round 1 gives each of them a tuple of non-neighbour counts over
-    the child's classes in ascending degree order (empty classes add a 0 to
-    every tuple and change no comparison): k's non-neighbours are ``~mask``,
-    those of a rival v are ``~(row_v | bit_k)`` when v is in the mask and
-    ``~row_v`` otherwise.  A rival's larger tuple rejects k; a tuple of k's
-    larger than every rival's keeps it.
+    The weight window makes w = |mask| the child's maximum degree on every
+    level, so round 0 never rejects k.  The child's class of degree d is
+    ``D_d & ~mask | D_{d-1} & mask`` (k joins the top class, d = w), and
+    k's rivals are the rest of the top class; with none, k is alone there.
+    Round 1 gives each of them a tuple of non-neighbour counts over the
+    child's classes in ascending degree order (empty classes add a 0 to
+    every tuple and change no comparison): k's non-neighbours are
+    ``~mask``, those of a rival v are ``~(row_v | bit_k)`` when v is in the
+    mask and ``~row_v`` otherwise.  A rival's larger tuple rejects k; a
+    tuple of k's larger than every rival's keeps it.
     """
     new = 1 << len(rows)
     w = mask.bit_count()
@@ -469,7 +442,10 @@ def enumerate_graphs(
 ) -> Iterator[Graph]:
     """Yield one representative per isomorphism class on ``constraints.n``
     vertices, in a deterministic order (children explored in ascending
-    neighbor-set order).
+    neighbor-set order).  On every level a candidate child is first ranked
+    from its parent's bitmasks (``_deletion_rank``); one it does not reject
+    is built, and, unless it is a leaf the rank keeps, refined once and
+    searched only while its canonical deletion is undecided.
 
     ``partition=(k, K)`` restricts the walk to the k-th of K deterministic
     subtrees; merging all K streams reproduces the full stream as a set.  The
@@ -507,12 +483,10 @@ def enumerate_graphs(
         covered: set[int] = set()  # masks in the orbit of an earlier one
         degrees = [r.bit_count() for r in parent.rows]
         top = max(degrees, default=0)
-        top_mask = sum(1 << i for i, d in enumerate(degrees) if d == top)
+        by_degree = [0] * (k + 1)
+        for i, d in enumerate(degrees):
+            by_degree[d] |= 1 << i
         edges = sum(degrees) // 2
-        if last_level:
-            by_degree = [0] * (k + 1)
-            for i, d in enumerate(degrees):
-                by_degree[d] |= 1 << i
         # the last cell, which holds the canonical-deletion vertex, lies
         # inside the child's maximum-degree class: the new vertex needs
         # degree top, or top + 1 when it meets a vertex of degree top
@@ -524,7 +498,7 @@ def enumerate_graphs(
             high = min(high, (target_edges - edges) // (n - k))
         # the admissible weights only, merged into ascending mask order
         for mask in sorted(chain.from_iterable(_masks_by_weight(k)[low : high + 1])):
-            if mask & top_mask and mask.bit_count() == top:
+            if mask & by_degree[top] and mask.bit_count() == top:
                 continue
             # masks in one Aut(parent)-orbit give isomorphic children, and
             # every test in this loop gives one answer on the whole orbit,
@@ -537,20 +511,19 @@ def enumerate_graphs(
                 dealt += 1
                 if (dealt - 1) % total != part:
                     continue
-            if last_level:
-                rank = _leaf_rank(parent.rows, by_degree, mask)
-                if rank < 0:
-                    continue
-                child = _extend(parent, mask)
-                cells = [[k]] if rank else _refinement_cells(child, k, True)
-            else:
-                child = _extend(parent, mask)
-                cells = _refinement_cells(child, k)
-            if cells is None:
+            rank = _deletion_rank(parent.rows, by_degree, mask)
+            if rank < 0:
                 continue
-            if last_level and len(cells[-1]) == 1:
-                # k is last in every cell-respecting ordering, and a leaf's
-                # automorphisms are never used
+            child = _extend(parent, mask)
+            # k alone in the top class is last in every cell-respecting
+            # ordering, and a leaf's automorphisms are never used
+            if last_level and rank:
+                yield child, []
+                continue
+            cells = _refinement_cells(child)
+            if k not in cells[-1]:
+                continue
+            if last_level and cells[-1] == [k]:
                 yield child, []
                 continue
             _, last, child_gens = _canonical_search(child, cells)

@@ -38,7 +38,7 @@ from kitespec.graph import (
 )
 
 from conftest import (
-    brute_force_classes, brute_force_search, extended, make_cycle, make_star, random_graph, relabel,
+    brute_force_classes, brute_force_search, extended, make_cycle, random_graph, relabel,
 )
 
 # isomorphism-class counts for simple graphs on n vertices (all / connected)
@@ -74,12 +74,16 @@ CANONICAL_KEYS_SHA256 = {
 
 # children built at each child order 2..n by a constrained walk, counted at
 # _extend: the degree-monotone edge window sets these, the stream does not;
-# on the last level a candidate is built only when kept or tied by its
-# parent-side rounds 0 and 1 (_leaf_rank)
+# on every level a candidate is built only when kept or tied by its
+# parent-side rounds 0 and 1 (_deletion_rank)
 BUILT_CHILDREN_PER_LEVEL = [
-    pytest.param(EnumConstraints(8, edges=14), [2, 4, 7, 19, 85, 528, 1772], id="n8-m14"),
+    pytest.param(EnumConstraints(8, edges=14), [2, 4, 7, 18, 69, 398, 1772], id="n8-m14"),
     pytest.param(
-        EnumConstraints(9, edges=23), [2, 4, 11, 33, 155, 993, 5925, 11035],
+        EnumConstraints(9, edges=13), [2, 2, 6, 11, 23, 105, 843, 10845],
+        id="n9-m13", marks=extended,
+    ),
+    pytest.param(
+        EnumConstraints(9, edges=23), [2, 4, 11, 30, 129, 748, 4070, 11035],
         id="n9-m23", marks=extended,
     ),
 ]
@@ -217,35 +221,6 @@ class TestCanonicalForm:
         assert key.bits.bit_count() == g.edge_count()
 
 
-class TestDeletionDecision:
-    def test_early_decision_matches_full_refinement(self, rng):
-        # _refinement_cells(g, v, leaf) stops as soon as canonical deletion
-        # of v is decided; every decision must be the full refinement's
-        graphs = [
-            random_graph(rng, rng.randint(1, 11), rng.choice([0.2, 0.5, 0.8]))
-            for _ in range(300)
-        ]
-        for n in range(1, 12):
-            graphs += [make_complete(n), Graph(n, (0,) * n), make_star(n - 1)]
-            if n >= 3:
-                graphs.append(make_cycle(n))
-        decisions = Counter()
-        for g in graphs:
-            full = enumeration._refinement_cells(g)
-            for v in range(g.n):
-                for leaf in (False, True):
-                    early = enumeration._refinement_cells(g, v, leaf)
-                    if v not in full[-1]:
-                        decision, expected = "reject", None
-                    elif leaf and full[-1] == [v]:
-                        decision, expected = "lone", [[v]]
-                    else:
-                        decision, expected = "search", full
-                    assert early == expected, (encode_graph6(g), v, leaf)
-                    decisions[decision] += 1
-        assert decisions.keys() == {"reject", "lone", "search"}
-
-
 def first_rounds(child, v):
     """The deletion test of ``v`` after refinement rounds 0 and 1, read from
     the built ``child`` in the form the ``_refinement_cells`` docstring
@@ -265,62 +240,70 @@ def first_rounds(child, v):
     return 1 if all(key(u) < key(v) for u in rivals) else 0
 
 
-def leaf_rank_calls(spaces):
-    """The arguments of every ``_leaf_rank`` call the walks of ``spaces`` make:
-    each candidate mask of each leaf parent that reaches the leaf test."""
+def deletion_rank_calls(spaces):
+    """The arguments of every ``_deletion_rank`` call the walks of ``spaces``
+    make: each candidate mask, on every level, that passes the weight
+    window, the maximum-degree test and the orbit test."""
     calls = []
-    rank = enumeration._leaf_rank
+    rank = enumeration._deletion_rank
 
     def recording(rows, by_degree, mask):
         calls.append((rows, by_degree, mask))
         return rank(rows, by_degree, mask)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(enumeration, "_leaf_rank", recording)
+        mp.setattr(enumeration, "_deletion_rank", recording)
         for constraints in spaces:
             for _ in enumerate_graphs(constraints):
                 pass
     return calls
 
 
-def leaf_rank_mismatches(calls, rank):
+def deletion_rank_mismatches(calls, rank):
     """The calls on which ``rank`` differs from rounds 0 and 1 on the built
-    child, or a decided verdict from ``_refinement_cells(child, k, True)``
-    (reject: None, keep: [[k]]); a tie may go either way in later rounds."""
+    child, or contradicts the last cell of the child's full refinement: a
+    reject must leave the new vertex k out of it, a keep must make it
+    ``[k]``; a tie may go either way in later rounds."""
     bad = []
     for rows, by_degree, mask in calls:
         k = len(rows)
         child = enumeration._extend(Graph(k, rows), mask)
-        cells = enumeration._refinement_cells(child, k, True)
+        last = enumeration._refinement_cells(child)[-1]
         got = rank(rows, by_degree, mask)
-        if got != first_rounds(child, k) or (got and cells != ([[k]] if got > 0 else None)):
+        if got != first_rounds(child, k) or got < 0 and k in last or got > 0 and last != [k]:
             bad.append((encode_graph6(child), got))
     return bad
 
 
-class TestLeafRank:
-    """The last level decides refinement rounds 0 and 1 from the parent's
-    bitmasks (``_leaf_rank``); only a tie builds and refines the child."""
+class TestDeletionRank:
+    """Every level decides refinement rounds 0 and 1 from the parent's
+    bitmasks (``_deletion_rank``); the one full refinement of a built child
+    decides the later rounds."""
 
     SMALL_SPACES = [EnumConstraints(n, m) for n in range(8) for m in range(comb(n, 2) + 1)]
+    SMALL_SPACES += [EnumConstraints(n) for n in range(8)]
 
     def test_matches_the_built_child(self):
-        calls = leaf_rank_calls(self.SMALL_SPACES)
-        assert leaf_rank_mismatches(calls, enumeration._leaf_rank) == []
-        ranks = Counter(enumeration._leaf_rank(*call) for call in calls)
+        calls = deletion_rank_calls(self.SMALL_SPACES)
+        assert deletion_rank_mismatches(calls, enumeration._deletion_rank) == []
+        ranks = Counter(enumeration._deletion_rank(*call) for call in calls)
         assert ranks.keys() == {-1, 0, 1}, ranks
 
         def keeps_ties(rows, by_degree, mask):
-            return enumeration._leaf_rank(rows, by_degree, mask) or 1
+            return enumeration._deletion_rank(rows, by_degree, mask) or 1
 
-        # the check catches a rank that keeps a tie
-        assert leaf_rank_mismatches(calls, keeps_ties)
+        def rejects_ties(rows, by_degree, mask):
+            return enumeration._deletion_rank(rows, by_degree, mask) or -1
+
+        # the check catches a rank that decides a tie either way
+        assert deletion_rank_mismatches(calls, keeps_ties)
+        assert deletion_rank_mismatches(calls, rejects_ties)
 
     @extended
     def test_matches_the_built_child_n9_m13(self):
-        calls = leaf_rank_calls([EnumConstraints(9, edges=13)])
-        assert len(calls) == 15800
-        assert leaf_rank_mismatches(calls, enumeration._leaf_rank) == []
+        calls = deletion_rank_calls([EnumConstraints(9, edges=13)])
+        assert len(calls) == 17192
+        assert deletion_rank_mismatches(calls, enumeration._deletion_rank) == []
 
 
 class TestTrustedBuilds:

@@ -117,8 +117,19 @@ class TestScripts:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.splitlines()[-1].endswith(f"error: {message}")
 
-    def test_das_sweep_rejects_an_order_past_the_desk_range(self):
-        proc = run_script("das_sweep.py", "--max-order", "10", "--workers", "1")
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--max-order", "10", "--workers", "1"],
+            ["--max-order", "abc"],
+            ["--workers", "0"],
+            ["--workers", "-3"],
+        ],
+        ids=["max-order-10", "max-order-abc", "workers-0", "workers-negative"],
+    )
+    def test_das_sweep_rejects_an_order_past_the_desk_range(self, args):
+        # exit 2 is kept for "a mate was found", so a usage error exits 1
+        proc = run_script("das_sweep.py", *args)
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
