@@ -10,11 +10,13 @@ Usage:
     python3 scripts/enumeration_census.py [--max-n 8] [--cache-dir DIR]
 
 An order past the enumeration cap (n = 10 and above) is refused before any
-walk starts, with the message of ``EnumConstraints``.
+walk starts, with the message of ``EnumConstraints``; so is a cache
+directory that cannot be made.
 """
 
 import argparse
 import time
+from pathlib import Path
 
 from kitespec.enumeration import EnumConstraints, EnumerationError, enumerate_cached
 from kitespec.graph import is_connected
@@ -29,6 +31,12 @@ def main() -> None:
         EnumConstraints(args.max_n)
     except EnumerationError as exc:
         ap.error(f"--max-n {args.max_n}: {exc}")
+    if args.cache_dir is not None:
+        # made before the header, as cache_store would make it
+        try:
+            Path(args.cache_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            ap.error(f"--cache-dir {args.cache_dir} is not a usable directory: {exc.strerror}")
 
     print(f"{'n':>3} {'all':>8} {'connected':>10} {'seconds':>8}")
     for n in range(1, args.max_n + 1):

@@ -37,10 +37,10 @@ always its orbit's least mask.
 Before a child is built, its edge count must fit the edge window and the
 new vertex must have maximum degree (the last cell lies in the
 maximum-degree class).  Both depend on the mask's popcount only, so a
-parent visits just the masks of the admissible weights, from a table of
-masks grouped by weight, merged into ascending order; an Aut(parent)-orbit
-keeps its popcount, so the least mask of each orbit and the visiting order
-are those of the full ascending scan.
+parent visits just the masks of the admissible weights, one cached
+ascending tuple per window of weights; an Aut(parent)-orbit keeps its
+popcount, so the least mask of each orbit and the visiting order are those
+of the full ascending scan.
 
 The weights along a path from the root never decrease: a kept child's new
 vertex has weight w equal to the child's maximum degree (w is at least the
@@ -82,7 +82,6 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import chain
 from math import comb, factorial, gcd
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -257,14 +256,14 @@ def _mask_orbit(mask: int, gens: list[list[int]]) -> set[int]:
 
 
 def _canonical_search(
-    g: Graph, cells: list[list[int]] | None = None
+    g: Graph, cells: list[list[int]]
 ) -> tuple[tuple[int, ...], int, list[list[int]]]:
     """Minimal column encoding over cell-respecting orderings, the bitmask
     of vertices that occupy the last position in some minimizing ordering
     (the orbit of the canonical-deletion vertex), and generators of the
     automorphism group as image lists.
 
-    ``cells`` is ``_refinement_cells(g)`` when the caller already has it.
+    ``cells`` is ``_refinement_cells(g)``.
     Two leaves with equal columns differ by an automorphism, which is
     recorded; a candidate in the orbit of one already tried at its node,
     under the recorded automorphisms fixing the node's prefix, roots the
@@ -275,8 +274,6 @@ def _canonical_search(
     n = g.n
     if n == 0:
         return (), 0, []
-    if cells is None:
-        cells = _refinement_cells(g)
     rows = g.rows
     if len(cells) == n:
         # a discrete partition allows one ordering: the only leaf, so no
@@ -370,7 +367,7 @@ def _cols_to_bits(cols: tuple[int, ...]) -> int:
 
 
 def canonical_form(g: Graph) -> CanonicalKey:
-    cols = _canonical_search(g)[0]
+    cols = _canonical_search(g, _refinement_cells(g))[0]
     return CanonicalKey(g.n, _cols_to_bits(cols))
 
 
@@ -378,12 +375,9 @@ def canonical_form(g: Graph) -> CanonicalKey:
 
 
 @cache
-def _masks_by_weight(k: int) -> tuple[tuple[int, ...], ...]:
-    """The k-bit vertex masks grouped by popcount, each group ascending."""
-    groups: list[list[int]] = [[] for _ in range(k + 1)]
-    for mask in range(1 << k):
-        groups[mask.bit_count()].append(mask)
-    return tuple(map(tuple, groups))
+def _masks(k: int, low: int, high: int) -> tuple[int, ...]:
+    """The k-bit vertex masks whose popcount lies in ``low..high``, ascending."""
+    return tuple(mask for mask in range(1 << k) if low <= mask.bit_count() <= high)
 
 
 def _extend(parent: Graph, mask: int) -> Graph:
@@ -496,8 +490,8 @@ def enumerate_graphs(
             # child has at least edges + (n - k) * w edges (module docstring)
             low = max(low, target_edges - (max_total - comb(k + 1, 2)) - edges)
             high = min(high, (target_edges - edges) // (n - k))
-        # the admissible weights only, merged into ascending mask order
-        for mask in sorted(chain.from_iterable(_masks_by_weight(k)[low : high + 1])):
+        # the masks of the admissible weights, in ascending order
+        for mask in _masks(k, low, high):
             if mask & by_degree[top] and mask.bit_count() == top:
                 continue
             # masks in one Aut(parent)-orbit give isomorphic children, and
@@ -531,18 +525,14 @@ def enumerate_graphs(
                 yield child, child_gens
 
     def walk(g: Graph, gens: list[list[int]]) -> Iterator[Graph]:
-        if g.n + 1 == n:
-            # the edge window closes to the target on the last level
-            for child, _ in children(g, gens):
-                yield child
-        else:
-            for child, child_gens in children(g, gens):
-                yield from walk(child, child_gens)
+        if g.n == n:
+            yield g
+            return
+        for child, child_gens in children(g, gens):
+            yield from walk(child, child_gens)
 
-    if n:
-        yield from walk(Graph(0, ()), [])
-    else:
-        yield Graph(0, ())
+    # the null graph is the root, and at n = 0 the one leaf
+    yield from walk(Graph(0, ()), [])
 
 
 # -- on-disk graph6 cache -----------------------------------------------------

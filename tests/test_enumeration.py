@@ -102,7 +102,9 @@ def canonical_keys_sha256(orders):
         for g in enumerate_graphs(EnumConstraints(n)):
             perm = list(range(n))
             rng.shuffle(perm)
-            cols, last, _ = enumeration._canonical_search(relabel(g, perm))
+            relabelled = relabel(g, perm)
+            cells = enumeration._refinement_cells(relabelled)
+            cols, last, _ = enumeration._canonical_search(relabelled, cells)
             h.update(f"{n} {enumeration._cols_to_bits(cols)} {last}\n".encode())
     return h.hexdigest()
 
@@ -153,7 +155,7 @@ class TestCanonicalForm:
             if not 1 <= n <= 6:
                 continue
             g = from_edges(n, h.edges())
-            gens = enumeration._canonical_search(g)[2]
+            gens = enumeration._canonical_search(g, enumeration._refinement_cells(g))[2]
             for img in gens:
                 assert relabel(g, img) == g
             expected = sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter())
@@ -172,8 +174,9 @@ class TestCanonicalForm:
                 perm = list(range(n))
                 rng.shuffle(perm)
                 for h in (g, relabel(g, perm)):
-                    cols, last, gens = enumeration._canonical_search(h)
-                    expected = brute_force_search(h, enumeration._refinement_cells(h))
+                    cells = enumeration._refinement_cells(h)
+                    cols, last, gens = enumeration._canonical_search(h, cells)
+                    expected = brute_force_search(h, cells)
                     assert (cols, last) == expected, encode_graph6(h)
                     for img in gens:
                         assert relabel(h, img) == h, encode_graph6(h)
@@ -389,6 +392,16 @@ class TestEnumeration:
                 for k in range(total)
             ]
             assert sorted(chain.from_iterable(streams)) == ["?"], total
+
+    def test_mask_windows(self):
+        # each parent visits one cached window: the k-bit masks with a
+        # popcount in low..high, strictly ascending, and () when low > high;
+        # any faster generator must return exactly this tuple
+        for k in range(ENUM_ORDER_CAP):
+            for low in range(k + 1):
+                for high in range(k + 1):
+                    expected = tuple(m for m in range(1 << k) if low <= m.bit_count() <= high)
+                    assert enumeration._masks(k, low, high) == expected, (k, low, high)
 
     def test_constraint_validation(self):
         with pytest.raises(EnumerationError):

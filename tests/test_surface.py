@@ -149,6 +149,17 @@ class TestScripts:
             inodes.append({p.name: p.stat().st_ino for p in tmp_path.iterdir()})
         assert inodes[0] == inodes[1]
 
+    @pytest.mark.parametrize("cache_dir", ["/dev/null", "/dev/null/x"], ids=["a-file", "under-a-file"])
+    def test_census_refuses_an_unusable_cache_dir(self, cache_dir):
+        # refused before the header, like an order past the cap
+        proc = run_script("enumeration_census.py", "--max-n", "2", "--cache-dir", cache_dir)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert f"error: --cache-dir {cache_dir} is not a usable directory: " in errors[0]
+
     def test_census_rejects_an_order_past_the_cap_at_once(self):
         start = time.monotonic()
         proc = run_script("enumeration_census.py", "--max-n", "10")
