@@ -8,8 +8,9 @@ per (p, q) and exits 2 if any mate is found.
 Usage:
     python3 scripts/das_sweep.py [--max-order 9] [--workers 4]
 
-A usage error (a malformed argument, an order above DESK_ORDER_MAX (9),
-fewer than one worker) is one ``error:`` line and exit code 1, before any
+A usage error (a malformed argument, an order below 5, that of Kite_{3,2},
+the smallest kite scanned, or above DESK_ORDER_MAX (9), fewer than one
+worker) is one ``error:`` line and exit code 1, before any
 search starts.
 """
 
@@ -32,6 +33,9 @@ def main() -> int:
     ap.add_argument("--max-order", type=int, default=9, help="largest p + q to scan")
     ap.add_argument("--workers", type=int, default=4)
     args = ap.parse_args()
+    if args.max_order < 5:
+        ap.error(f"--max-order {args.max_order} is below 5, the order of "
+                 f"Kite_{{3,2}}, the smallest kite scanned")
     if args.max_order > DESK_ORDER_MAX:
         ap.error(f"--max-order {args.max_order} is past the desk-scale range "
                  f"p + q <= {DESK_ORDER_MAX}")

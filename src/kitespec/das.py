@@ -14,13 +14,14 @@ searched through the sparser space: its classes are enumerated, where the
 edge window prunes far harder.  Goodman's identity,
 t(complement of G) = C(n, 3) - (n - 1) m + sum(d_i^2) / 2 - t(G), gives
 the triangle count of each one's complement from the sparse graph itself,
-so the prefilter runs before anything is complemented, and only its
-survivors are complemented for the comparison, which sees only graphs of
-the target's own space.  A mate of such a target is reported as the
-complement of a sparse representative.  The walked space is built once,
-and the merged class count must equal its own Polya count
-(``EnumConstraints.classes``), so a walk that loses or repeats a class
-fails loudly instead of passing as exhaustive.
+so the prefilter runs before anything is complemented.  A graph whose
+degrees alone would need a negative triangle count is dropped without
+counting any, and only the survivors are complemented for the comparison,
+which sees only graphs of the target's own space.  A mate of such a target
+is reported as the complement of a sparse representative.  The walked
+space is built once, and the merged class count must equal its own Polya
+count (``EnumConstraints.classes``), so a walk that loses or repeats a
+class fails loudly instead of passing as exhaustive.
 """
 
 from __future__ import annotations
@@ -91,7 +92,10 @@ def _scan_partition(args) -> tuple[int, int, list[str]]:
         scanned += 1
         if flip:
             squares = sum(row.bit_count() ** 2 for row in g.rows)
-            if goodman + squares // 2 - triangle_count(g) != target_t:
+            # the complement has target_t triangles exactly when g has
+            # ``need``, which cannot be below 0
+            need = goodman + squares // 2 - target_t
+            if need < 0 or triangle_count(g) != need:
                 continue
             g = _trusted_graph(n, tuple(full & ~row & ~(1 << i) for i, row in enumerate(g.rows)))
         elif triangle_count(g) != target_t:

@@ -1,11 +1,13 @@
 """Isomorph-free graph generation and canonical forms.
 
 Canonical form: vertices are first split into cells by iterated
-degree/neighbor-degree refinement (an isomorphism invariant, computed with
-bitset popcounts), then the lexicographically minimal upper-triangle
-bit-string over all cell-respecting orderings is found by backtracking with
-prefix pruning.  Two graphs share a :class:`CanonicalKey` exactly when they
-are isomorphic.
+refinement (an isomorphism invariant, computed with bitset popcounts): the
+cells start as the degree classes, and each round splits a cell in place
+by its members' counts of non-neighbours in every cell, until no cell
+splits.  Then the lexicographically minimal upper-triangle bit-string over
+all cell-respecting orderings is found by backtracking with prefix
+pruning.  Two graphs share a :class:`CanonicalKey` exactly when they are
+isomorphic.
 
 The backtracking also prunes by automorphisms (McKay, "Practical graph
 isomorphism", 1981): a leaf whose encoding equals the incumbent's yields an
@@ -65,15 +67,24 @@ yielded.  Every other candidate is built and refined once, in full; its
 last cell decides the later rounds in the same way, and only the children
 still undecided get a canonical search.
 
-Two shortcuts in the kernel leave every key, ``last`` orbit, generator and
-stream as they were.  A vertex alone in its class gets no refinement
-counts, since its label already fixes its rank.  A discrete partition
-admits one ordering, which the search takes directly: no other leaf exists
-to yield an automorphism, and its last vertex is the whole ``last`` orbit.
-Inside the search a flag carries whether the prefix is below the
-incumbent's or equal to it, and the tried candidates are closed under the
-automorphisms only when a later candidate is tested, so the same
-candidates are skipped.
+Four shortcuts in the kernel leave every key, ``last`` orbit, stream and
+generated group as they were.  A vertex alone in its cell gets no
+refinement counts, since its cell already fixes its rank.  Twins, two
+vertices with equal open neighbourhoods N(u) = N(v) or equal closed ones
+N[u] = N[v], are swapped by an automorphism that fixes every other vertex
+(McKay, 1981; McKay and Piperno, "Practical graph isomorphism II", 2014),
+so the search knows these transpositions before it reaches any leaf and
+prunes by them from the start.  When every cell is one class of twins (a
+discrete partition included), they carry the cells' own order onto every
+other cell-respecting ordering, so the search takes that ordering
+directly: all leaves are equal, the last cell is the whole ``last`` orbit,
+and the transpositions generate the group.  The same fact decides a
+last-level child without a search when every vertex of its last cell is a
+twin of the new vertex k: each is k's image under an automorphism, so the
+canonical-deletion vertex lies in k's orbit.  Inside the search a flag
+carries whether the prefix is below the incumbent's or equal to it, and
+the tried candidates are closed under the automorphisms only when a later
+candidate is tested, so the same candidates are skipped.
 """
 
 from __future__ import annotations
@@ -179,42 +190,49 @@ def _integer_partitions(n: int, largest: int) -> Iterator[tuple[int, ...]]:
 
 
 def _refinement_cells(g: Graph) -> list[list[int]]:
-    """Vertex cells under iterated neighbor-label refinement, ordered by an
-    isomorphism-invariant cell key.
+    """Vertex cells under iterated neighbour-class refinement, in an
+    isomorphism-invariant order, each cell's vertices ascending.
 
-    A vertex's key is its label plus, for each label class in label order,
-    the number of its non-neighbours in that class (one bitset popcount
-    each).  Vertices sharing a label share a degree and a class, so fewer
-    non-neighbours means more neighbours, and the keys sort exactly as the
-    vertices' sorted tuples of neighbour labels would.  Each key starts
-    with the previous label, so the top class only ever shrinks and stays
-    the last cell.
+    The cells start as the degree classes, in ascending degree.  In each
+    round a cell of two or more vertices gives each member a tuple: its
+    number of non-neighbours in each current cell, in cell order (one
+    bitset popcount each).  A cell whose members share one tuple stays
+    whole; any other is replaced in place by its sub-cells, in ascending
+    tuple order.  Members of one cell share a degree, so fewer
+    non-neighbours means more neighbours, and the tuples sort exactly as
+    the members' sorted tuples of neighbour cells would.  The rounds stop
+    when no cell splits or the partition is discrete.  A cell is split
+    only in place, so the top degree class only ever shrinks and stays the
+    last cell.
     """
     n = g.n
-    labels = [r.bit_count() for r in g.rows]
     non_adjacent = [~r for r in g.rows]
     count = int.bit_count
-    classes = sorted(set(labels))
-    while True:
-        masks = dict.fromkeys(classes, 0)
-        for v, lab in enumerate(labels):
-            masks[lab] |= 1 << v
-        cellmasks = list(masks.values())
-        # a singleton class's rank is fixed by its label alone
-        shared = {lab for lab, mask in masks.items() if mask & (mask - 1)}
-        keys = [
-            (lab, tuple(map(count, map(row.__and__, cellmasks))) if lab in shared else ())
-            for lab, row in zip(labels, non_adjacent)
-        ]
-        order = {key: rank for rank, key in enumerate(sorted(set(keys)))}
-        labels = [order[key] for key in keys]
-        # stable once no class splits; a discrete partition cannot split
-        if len(order) == len(classes) or len(order) == n:
+    by_degree: dict[int, list[int]] = {}
+    for v, row in enumerate(g.rows):
+        by_degree.setdefault(row.bit_count(), []).append(v)
+    cells = [by_degree[d] for d in sorted(by_degree)]
+    while len(cells) < n:
+        masks = []
+        for cell in cells:
+            mask = 0
+            for v in cell:
+                mask |= 1 << v
+            masks.append(mask)
+        refined = []
+        for cell in cells:
+            if len(cell) > 1:
+                subcells: dict[tuple[int, ...], list[int]] = {}
+                for v in cell:
+                    key = tuple(map(count, map(non_adjacent[v].__and__, masks)))
+                    subcells.setdefault(key, []).append(v)
+                if len(subcells) > 1:
+                    refined += [subcells[key] for key in sorted(subcells)]
+                    continue
+            refined.append(cell)
+        if len(refined) == len(cells):
             break
-        classes = range(len(order))
-    cells: list[list[int]] = [[] for _ in order]
-    for v, lab in enumerate(labels):
-        cells[lab].append(v)
+        cells = refined
     return cells
 
 
@@ -255,6 +273,37 @@ def _mask_orbit(mask: int, gens: list[list[int]]) -> set[int]:
     return orbit
 
 
+def _twin_automorphisms(
+    rows: tuple[int, ...], cells: list[list[int]]
+) -> list[tuple[int, list[int]]]:
+    """The transposition of each consecutive pair of twins, as (bitmask of
+    fixed points, image list): twins u < v have N(u) = N(v) (open) or
+    N[u] = N[v] (closed), and swapping them fixes every other vertex and
+    maps the edge set onto itself.  ``cells`` is a refinement of the graph with ``rows``;
+    twins share a cell, since refinement is invariant under automorphisms.
+    """
+    n = len(rows)
+    everyone = (1 << n) - 1
+    autos = []
+    for cell in cells:
+        if len(cell) < 2:
+            continue
+        # open twins share a row, closed twins a row with their own bit set;
+        # an open key N(u) never equals a closed key N[w], since w in N(u)
+        # would put u in N[w] = N(u)
+        twins: dict[int, list[int]] = {}
+        for v in cell:
+            row = rows[v]
+            twins.setdefault(row, []).append(v)
+            twins.setdefault(row | 1 << v, []).append(v)
+        for group in twins.values():
+            for u, v in zip(group, group[1:]):
+                img = list(range(n))
+                img[u], img[v] = v, u
+                autos.append((everyone & ~(1 << u | 1 << v), img))
+    return autos
+
+
 def _canonical_search(
     g: Graph, cells: list[list[int]]
 ) -> tuple[tuple[int, ...], int, list[list[int]]]:
@@ -264,35 +313,40 @@ def _canonical_search(
     automorphism group as image lists.
 
     ``cells`` is ``_refinement_cells(g)``.
-    Two leaves with equal columns differ by an automorphism, which is
-    recorded; a candidate in the orbit of one already tried at its node,
-    under the recorded automorphisms fixing the node's prefix, roots the
-    image of a searched subtree and is skipped.  The recorded automorphisms
-    generate the whole group, so ``last`` is the orbit of the best
-    ordering's last vertex under them.
+    The search starts knowing the twin transpositions
+    (``_twin_automorphisms``), and takes the cells' own order directly when
+    every cell is one class of twins.  Two leaves with equal columns differ
+    by an automorphism, which is recorded too; a candidate in the orbit of
+    one already tried at its node, under the known automorphisms fixing the
+    node's prefix, roots the image of a searched subtree and is skipped.
+    The known automorphisms generate the whole group, so ``last`` is the
+    orbit of the best ordering's last vertex under them.
     """
     n = g.n
     if n == 0:
         return (), 0, []
     rows = g.rows
-    if len(cells) == n:
-        # a discrete partition allows one ordering: the only leaf, so no
-        # automorphism is found and its last vertex is all of ``last``
-        order = [v for v, in cells]
+    # (bitmask of fixed points, image list) of each automorphism known
+    autos = _twin_automorphisms(rows, cells)
+    if len(autos) == n - len(cells):
+        # a vertex has twins of one kind only, so this many transpositions
+        # means every cell is one class of twins (module docstring)
+        order = [v for cell in cells for v in cell]
         cols = []
         for j, v in enumerate(order):
             col = 0
             for u in order[:j]:
                 col = col << 1 | (rows[v] >> u & 1)
             cols.append(col)
-        return tuple(cols), 1 << order[-1], []
+        last = 0
+        for v in cells[-1]:
+            last |= 1 << v
+        return tuple(cols), last, [img for _, img in autos]
     cell_of_pos: list[list[int]] = []
     for cell in cells:
         cell_of_pos.extend([cell] * len(cell))
     best: list[int] = []
     best_perm: list[int] = []
-    # (bitmask of fixed points, image list) of each automorphism found
-    autos: list[tuple[int, list[int]]] = []
     perm: list[int] = []  # the prefix's vertices, in order
 
     def rec(pos: int, used: int, cols: list[int], below: bool) -> bool:
@@ -517,7 +571,12 @@ def enumerate_graphs(
             cells = _refinement_cells(child)
             if k not in cells[-1]:
                 continue
-            if last_level and cells[-1] == [k]:
+            rows = child.rows
+            # a twin of k is k's image under their transposition, so a last
+            # cell of k's twins lies in k's orbit
+            if last_level and all(
+                rows[v] == mask or rows[v] | 1 << v == mask | 1 << k for v in cells[-1]
+            ):
                 yield child, []
                 continue
             _, last, child_gens = _canonical_search(child, cells)

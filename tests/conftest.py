@@ -80,6 +80,38 @@ def brute_force_search(g: Graph, cells: list[list[int]]) -> tuple[tuple[int, ...
     return best, last
 
 
+def refinement_cells_by_rounds(g: Graph) -> list[list[int]]:
+    """Oracle for ``_refinement_cells``: the same iterated refinement run
+    over the whole vertex set each round.  A vertex's key is its label plus,
+    for each label class in label order, its number of non-neighbours in
+    that class; the keys are ranked into the next labels, until a round
+    splits no class or the partition is discrete.  The cells are the label
+    classes in label order, each with its vertices ascending."""
+    n = g.n
+    labels = [r.bit_count() for r in g.rows]
+    non_adjacent = [~r for r in g.rows]
+    count = int.bit_count
+    classes = sorted(set(labels))
+    while True:
+        masks = dict.fromkeys(classes, 0)
+        for v, lab in enumerate(labels):
+            masks[lab] |= 1 << v
+        cellmasks = list(masks.values())
+        keys = [
+            (lab, tuple(map(count, map(row.__and__, cellmasks))))
+            for lab, row in zip(labels, non_adjacent)
+        ]
+        order = {key: rank for rank, key in enumerate(sorted(set(keys)))}
+        labels = [order[key] for key in keys]
+        if len(order) == len(classes) or len(order) == n:
+            break
+        classes = range(len(order))
+    cells: list[list[int]] = [[] for _ in order]
+    for v, lab in enumerate(labels):
+        cells[lab].append(v)
+    return cells
+
+
 def spectrum_sane(values: list[float], edge_count: int, tol: float = 1e-12) -> bool:
     """Trace checks: the eigenvalues sum to 0 and their squares to 2m."""
     n = len(values)

@@ -38,7 +38,8 @@ from kitespec.graph import (
 )
 
 from conftest import (
-    brute_force_classes, brute_force_search, extended, make_cycle, random_graph, relabel,
+    brute_force_classes, brute_force_search, edge_list, extended, make_cycle, make_star,
+    random_graph, refinement_cells_by_rounds, relabel,
 )
 
 # isomorphism-class counts for simple graphs on n vertices (all / connected)
@@ -71,6 +72,13 @@ CANONICAL_KEYS_SHA256 = {
     7: "4b28d3b8d9e8bf5b7b82a0b71ed0baa6743f47502f192fc00fe5b56a2c351592",
     8: "b09507c60713f0c60b951acbce882641536d943561f71cf07c019196414d2a81",
 }
+
+# last-level children kept after refinement without a canonical search,
+# every vertex of their last cell a twin of the new vertex
+TWIN_DECIDED_LEAVES = [
+    pytest.param(EnumConstraints(8), 1588, id="n8"),
+    pytest.param(EnumConstraints(9, edges=13), 454, id="n9-m13"),
+]
 
 # children built at each child order 2..n by a constrained walk, counted at
 # _extend: the degree-monotone edge window sets these, the stream does not;
@@ -125,6 +133,28 @@ def group_order(gens, n):
 
 def complete_bipartite(a, b):
     return from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def complete_multipartite(*sizes):
+    """Every vertex joined to every vertex outside its own part."""
+    part = [i for i, size in enumerate(sizes) for _ in range(size)]
+    n = len(part)
+    return from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if part[u] != part[v]])
+
+
+def with_isolated(g, extra):
+    """``g`` beside ``extra`` isolated vertices, numbered after its own."""
+    return Graph(g.n + extra, g.rows + (0,) * extra)
+
+
+def all_classes_relabelled(orders):
+    """Every class on each order, under a seeded relabelling."""
+    rng = random.Random(0x5EED)
+    for n in orders:
+        for g in enumerate_graphs(EnumConstraints(n)):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            yield relabel(g, perm)
 
 
 class TestCanonicalForm:
@@ -222,6 +252,161 @@ class TestCanonicalForm:
         assert time.perf_counter() - start < seconds
         assert key.n == g.n
         assert key.bits.bit_count() == g.edge_count()
+
+
+class TestRefinement:
+    """``_refinement_cells`` splits one cell at a time, in place; the oracle
+    ``refinement_cells_by_rounds`` re-ranks every vertex each round."""
+
+    def test_matches_the_round_based_oracle(self):
+        rng = random.Random(0x5EED)
+        graphs = list(all_classes_relabelled(range(8)))
+        graphs += [random_graph(rng, rng.randint(0, 24), rng.random()) for _ in range(500)]
+        for n in range(25):
+            graphs.append(Graph(n, (0,) * n))
+            if n:
+                graphs.append(make_complete(n))
+            if n >= 3:
+                graphs.append(make_cycle(n))
+        graphs += [complete_bipartite(a, b) for a in range(1, 13) for b in range(a, 25 - a)]
+        for g in graphs:
+            cells = enumeration._refinement_cells(g)
+            assert cells == refinement_cells_by_rounds(g), encode_graph6(g)
+
+
+def plant_false_twin(twins):
+    """``twins`` plus one transposition that is no automorphism: two
+    consecutive vertices of the first cell that holds a pair of non-twins."""
+    def planted(rows, cells):
+        autos = twins(rows, cells)
+        n = len(rows)
+        for cell in cells:
+            for u, v in zip(cell, cell[1:]):
+                if rows[u] != rows[v] and rows[u] | 1 << u != rows[v] | 1 << v:
+                    img = list(range(n))
+                    img[u], img[v] = v, u
+                    return autos + [(((1 << n) - 1) & ~(1 << u | 1 << v), img)]
+        return autos
+
+    return planted
+
+
+def twin_transposition_faults(graphs, twins):
+    """The graphs on which ``twins(rows, cells)`` gives anything but
+    transpositions that are automorphisms with the fixed points stated."""
+    bad = []
+    for g in graphs:
+        for fixed, img in twins(g.rows, enumeration._refinement_cells(g)):
+            moved = sum(1 << v for v in range(g.n) if img[v] != v)
+            if moved.bit_count() != 2 or fixed != ((1 << g.n) - 1) & ~moved or relabel(g, img) != g:
+                bad.append(encode_graph6(g))
+    return bad
+
+
+def group_order_faults(graphs):
+    """The graphs whose search generators include a non-automorphism or
+    generate a group of another order than networkx counts."""
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    bad = []
+    for g in graphs:
+        gens = enumeration._canonical_search(g, enumeration._refinement_cells(g))[2]
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(edge_list(g))
+        expected = sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter())
+        if any(relabel(g, img) != g for img in gens) or group_order(gens, g.n) != expected:
+            bad.append(encode_graph6(g))
+    return bad
+
+
+# twins everywhere: leaves of one hub, the parts of complete multipartite
+# graphs (open twins inside a part, closed twins across singleton parts),
+# and isolated vertices beside graphs with and without twins of their own
+TWIN_RICH = [
+    *(make_star(leaves) for leaves in range(1, 7)),
+    *(complete_bipartite(a, b) for a in range(1, 5) for b in range(a, 5)),
+    complete_multipartite(1, 2, 3),
+    complete_multipartite(2, 2, 2),
+    complete_multipartite(1, 1, 3),
+    complete_multipartite(1, 1, 1, 2, 2),
+    with_isolated(make_cycle(5), 3),
+    with_isolated(make_path(3), 3),
+    with_isolated(from_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)]), 2),
+    with_isolated(make_complete(4), 2),
+    Graph(6, (0,) * 6),
+]
+
+
+class TestTwinAutomorphisms:
+    """The canonical search starts from the twin transpositions, and a
+    last-level child whose last cell is all twins of the new vertex is kept
+    without a search; neither moves a key, ``last`` orbit or group."""
+
+    def test_every_transposition_is_an_automorphism(self):
+        graphs = list(all_classes_relabelled(range(8)))
+        assert twin_transposition_faults(graphs, enumeration._twin_automorphisms) == []
+        assert sum(len(enumeration._twin_automorphisms(g.rows, enumeration._refinement_cells(g)))
+                   for g in graphs) > len(graphs)
+        # the check catches a transposition of two non-twins
+        assert twin_transposition_faults(graphs, plant_false_twin(enumeration._twin_automorphisms))
+
+    def test_group_order_on_twin_rich_graphs(self):
+        assert group_order_faults(TWIN_RICH) == []
+
+    def test_a_false_twin_fails_the_group_check(self, monkeypatch):
+        planted = plant_false_twin(enumeration._twin_automorphisms)
+        monkeypatch.setattr(enumeration, "_twin_automorphisms", planted)
+        assert group_order_faults(TWIN_RICH)
+
+    @staticmethod
+    def twin_decided_leaves(constraints):
+        """(child, cells) of each last-level child that the walk of
+        ``constraints`` refines, finds in a last cell of two or more
+        vertices, and keeps without a search."""
+        refined, searched = [], set()
+        refine, search = enumeration._refinement_cells, enumeration._canonical_search
+
+        def recording_refine(g):
+            cells = refine(g)
+            refined.append((g, cells))
+            return cells
+
+        def recording_search(g, cells):
+            searched.add(g.rows)
+            return search(g, cells)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(enumeration, "_refinement_cells", recording_refine)
+            mp.setattr(enumeration, "_canonical_search", recording_search)
+            leaves = {g.rows for g in enumerate_graphs(constraints)}
+        k = constraints.n - 1
+        decided = [
+            (g, cells) for g, cells in refined
+            if g.n == constraints.n and len(cells[-1]) > 1 and k in cells[-1]
+            and g.rows not in searched
+        ]
+        assert all(g.rows in leaves for g, _ in decided)
+        return decided
+
+    def test_twin_decided_leaves_are_canonical_deletions(self):
+        decided = 0
+        for n in range(2, 8):
+            for m in range(comb(n, 2) + 1):
+                for child, cells in self.twin_decided_leaves(EnumConstraints(n, m)):
+                    last = enumeration._canonical_search(child, cells)[1]
+                    assert last >> n - 1 & 1, encode_graph6(child)
+                    decided += 1
+        assert decided > 0
+
+    @extended
+    @pytest.mark.parametrize("constraints, count", TWIN_DECIDED_LEAVES)
+    def test_twin_decided_leaf_counts(self, constraints, count):
+        decided = self.twin_decided_leaves(constraints)
+        assert len(decided) == count
+        for child, cells in decided:
+            assert enumeration._canonical_search(child, cells)[1] >> child.n - 1 & 1
 
 
 def first_rounds(child, v):

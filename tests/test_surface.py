@@ -121,11 +121,12 @@ class TestScripts:
         "args",
         [
             ["--max-order", "10", "--workers", "1"],
+            ["--max-order", "4"],
             ["--max-order", "abc"],
             ["--workers", "0"],
             ["--workers", "-3"],
         ],
-        ids=["max-order-10", "max-order-abc", "workers-0", "workers-negative"],
+        ids=["max-order-10", "max-order-4", "max-order-abc", "workers-0", "workers-negative"],
     )
     def test_das_sweep_rejects_an_order_past_the_desk_range(self, args):
         # exit 2 is kept for "a mate was found", so a usage error exits 1
